@@ -23,13 +23,12 @@ from .membership import (
     Detector,
     DetectorParams,
     adapt_timeout,
-    elect_representative,
 )
 from .metrics import compute_metrics
 from .repair import ChangeNotice, RepairPlan, ServicePorts, apply_notice, notice_for, plan
-from .run import SimulationRun, run_scenario
+from .run import SimulationRun
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
-from .security import AuditRecord, ObjectEntry, ReferenceMonitor, Rule, Subject, audit_query, decide
+from .security import AuditRecord, ObjectEntry, ReferenceMonitor, Rule, Subject, decide
 from .sim import Crash, NetworkModel, Partition, Recover, SetLoss, Simulator
 from .tracing import dump_jsonl, dumps_jsonl, load_jsonl
 from .verify import Violation, verify_trace
@@ -77,20 +76,17 @@ __all__ = [
     "Violation",
     "adapt_timeout",
     "apply_notice",
-    "audit_query",
     "compare",
     "compute_metrics",
     "decide",
     "dump_jsonl",
     "dumps_jsonl",
-    "elect_representative",
     "forecast_ma",
     "load_jsonl",
     "load_scenario",
     "notice_for",
     "parse_scenario",
     "plan",
-    "run_scenario",
     "verify_trace",
     "vote",
 ]

@@ -21,13 +21,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import ClassVar, Iterable
+from typing import ClassVar
 
 SimTime = int
-
-
-class NoLiveMember(Exception):
-    """Representative election over a cluster with no live member."""
 
 
 @dataclass(frozen=True)
@@ -133,43 +129,6 @@ class GossipDigest:
     entries: dict[str, tuple[int, int]]  # node -> (counter, incarnation)
 
 
-class HeartbeatTable:
-    __slots__ = ("owner", "entries")
-
-    def __init__(self, owner: str):
-        self.owner = owner
-        self.entries: dict[str, HeartbeatEntry] = {}
-
-    def digest(self) -> GossipDigest:
-        return GossipDigest(self.owner, {nid: (e.counter, e.incarnation) for nid, e in self.entries.items()})
-
-
-def merge(table: HeartbeatTable, digest: GossipDigest, now: SimTime, params: DetectorParams) -> HeartbeatTable:
-    """Fold an incoming digest into the table (componentwise max).
-
-    Counters never regress. A strictly greater counter at the same
-    incarnation bumps last_bump and records the observed gap; a higher
-    incarnation replaces the row outright (restart), accepting a lower
-    counter. The owner's own row is never writable from outside.
-    No hidden state; deterministic in its inputs.
-    """
-    entries = table.entries
-    owner = table.owner
-    for nid, (counter, incarnation) in digest.entries.items():
-        if nid == owner:
-            continue
-        entry = entries.get(nid)
-        if entry is None:
-            entries[nid] = HeartbeatEntry(counter, incarnation, now, params)
-        elif incarnation > entry.incarnation:
-            entry.reset(counter, incarnation, now, params)
-        elif incarnation == entry.incarnation and counter > entry.counter:
-            entry.counter = counter
-            entry.append_gap(now - entry.last_bump, params)
-            entry.last_bump = now
-    return table
-
-
 # --- suspicion --------------------------------------------------------------
 
 
@@ -250,31 +209,11 @@ class ClusterTopology:
     def children(self, cid: str) -> list[str]:
         return [c for c, p in self.parent.items() if p == cid]
 
-    def depth(self) -> int:
-        def d(cid: str) -> int:
-            p = self.parent[cid]
-            return 0 if p is None else 1 + d(p)
-
-        return max(d(cid) for cid in self.clusters)
-
     def nodes(self) -> list[str]:
         out: list[str] = []
         for members in self.clusters.values():
             out.extend(members)
         return out
-
-
-def elect_representative(cluster: str, topology: ClusterTopology, alive: Iterable[str]) -> str:
-    """Smallest live member id wins; every node with the same view picks
-    the same representative."""
-    members = topology.clusters.get(cluster)
-    if members is None:
-        raise KeyError(f"unknown cluster {cluster!r}")
-    alive_set = set(alive)
-    live = [m for m in members if m in alive_set]
-    if not live:
-        raise NoLiveMember(cluster)
-    return min(live)
 
 
 @dataclass(frozen=True)
@@ -319,13 +258,13 @@ class Detector:
         self.params = params
         self.cluster = topology.cluster_of[owner]
         self.peers: tuple[str, ...] = tuple(m for m in topology.clusters[self.cluster] if m != owner)
-        self.table = HeartbeatTable(owner)
-        self.table.entries[owner] = HeartbeatEntry(0, incarnation, now, params)
+        # The heartbeat table; its insertion order is the digest order.
+        self.table: dict[str, HeartbeatEntry] = {owner: HeartbeatEntry(0, incarnation, now, params)}
         # Seeded rows for peers never heard from: incarnation -1 so any
         # real digest wins, bootstrap timeout so a node dead from the
         # start still gets detected.
         for p in self.peers:
-            self.table.entries[p] = HeartbeatEntry(0, -1, now, params)
+            self.table[p] = HeartbeatEntry(0, -1, now, params)
         self.view: dict[str, PeerView] = {p: PeerView() for p in self.peers}
         self.rng = rng
         self._cycle: list[str] = []
@@ -357,17 +296,38 @@ class Detector:
         Returns (peer, digest) send instructions; empty for a cluster
         of one.
         """
-        own = self.table.entries[self.owner]
+        own = self.table[self.owner]
         own.counter += 1
         own.last_bump = now
         targets = self._draw_peers()
         if not targets:
             return []
-        digest = self.table.digest()
+        digest = GossipDigest(self.owner, {nid: (e.counter, e.incarnation) for nid, e in self.table.items()})
         return [(t, digest) for t in targets]
 
     def merge(self, digest: GossipDigest, now: SimTime) -> None:
-        merge(self.table, digest, now, self.params)
+        """Fold an incoming digest into the table (componentwise max).
+
+        Counters never regress. A strictly greater counter at the same
+        incarnation bumps last_bump and records the observed gap; a higher
+        incarnation replaces the row outright (restart), accepting a lower
+        counter. The owner's own row is never writable from outside.
+        """
+        table = self.table
+        owner = self.owner
+        params = self.params
+        for nid, (counter, incarnation) in digest.entries.items():
+            if nid == owner:
+                continue
+            entry = table.get(nid)
+            if entry is None:
+                table[nid] = HeartbeatEntry(counter, incarnation, now, params)
+            elif incarnation > entry.incarnation:
+                entry.reset(counter, incarnation, now, params)
+            elif incarnation == entry.incarnation and counter > entry.counter:
+                entry.counter = counter
+                entry.append_gap(now - entry.last_bump, params)
+                entry.last_bump = now
 
     # -- suspicion
 
@@ -376,7 +336,7 @@ class Detector:
         out: list[Transition] = []
         params = self.params
         for peer in self.peers:
-            entry = self.table.entries[peer]
+            entry = self.table[peer]
             view = self.view[peer]
             state = view.state
             if state is PeerState.ALIVE:
@@ -408,25 +368,34 @@ class Detector:
         members = self.topology.clusters[self.cluster]
         return [m for m in members if m != self.owner and self.view[m].state is not PeerState.ALIVE]
 
-    def is_alive(self, node: str) -> bool:
-        if node == self.owner:
-            return True
-        view = self.view.get(node)
-        return view is None or view.state is PeerState.ALIVE
-
-    def is_removed(self, node: str) -> bool:
-        view = self.view.get(node)
-        return view is not None and view.state is PeerState.REMOVED
-
     # -- hierarchy
 
-    def _remote_rep(self, cluster: str) -> str:
-        """Best guess at a remote cluster's representative: its own most
-        recent summary if we have one, else the default (lowest id)."""
+    def representative(self, cluster: str) -> str:
+        """The lowest live member id of ``cluster``; every node with the
+        same view picks the same one. Liveness in our own cluster comes
+        from our view (we are always alive in it); for a remote cluster
+        it comes from that cluster's freshest summary we hold, and
+        without one that names a live member every member counts."""
+        if cluster == self.cluster:
+            return min(self.alive_members())
         summary = self.latest.get(cluster)
         if summary is not None and summary.alive:
             return min(summary.alive)
         return min(self.topology.clusters[cluster])
+
+    def tree_targets(self) -> list[str]:
+        """Where information leaves this cluster along the tree: the
+        parent cluster's representative, then each child cluster's."""
+        parent = self.topology.parent[self.cluster]
+        clusters = self.topology.children(self.cluster)
+        if parent is not None:
+            clusters.insert(0, parent)
+        out: list[str] = []
+        for cid in clusters:
+            rep = self.representative(cid)
+            if rep != self.owner and rep not in out:
+                out.append(rep)
+        return out
 
     def summarize_and_channel(self, now: SimTime) -> tuple[ClusterSummary | None, list[tuple[str, SummaryBatch]]]:
         """Emit this cluster's summary if we are its representative.
@@ -435,10 +404,9 @@ class Detector:
         moves one tree level per summary interval in both directions.
         Returns (own summary or None, sends).
         """
-        alive = self.alive_members()
-        rep = min(alive)  # own node is always alive in its own view
-        if rep != self.owner:
+        if self.representative(self.cluster) != self.owner:
             return None, []
+        alive = self.alive_members()
         summary = ClusterSummary(
             cluster=self.cluster,
             epoch=now,
@@ -448,19 +416,7 @@ class Detector:
         )
         self.latest[self.cluster] = summary
         batch = SummaryBatch(self.owner, tuple(self.latest[c] for c in sorted(self.latest)))
-        sends: list[tuple[str, SummaryBatch]] = []
-        targets: list[str] = []
-        parent = self.topology.parent[self.cluster]
-        if parent is not None:
-            targets.append(self._remote_rep(parent))
-        for child in self.topology.children(self.cluster):
-            targets.append(self._remote_rep(child))
-        seen: set[str] = set()
-        for t in targets:
-            if t != self.owner and t not in seen:
-                seen.add(t)
-                sends.append((t, batch))
-        return summary, sends
+        return summary, [(t, batch) for t in self.tree_targets()]
 
     def apply_summaries(self, batch: SummaryBatch) -> list[ClusterSummary]:
         """Keep the freshest summary per origin cluster. Returns the

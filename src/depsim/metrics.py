@@ -24,7 +24,7 @@ def _crash_windows(entries: list[dict]) -> dict[str, list[tuple[int, int | None]
     return windows
 
 
-def _crashed_at(windows: dict[str, list[tuple[int, int | None]]], node: str, t: int) -> bool:
+def _down_at(windows: dict[str, list[tuple[int, int | None]]], node: str, t: int) -> bool:
     for start, stop in windows.get(node, ()):
         if start <= t and (stop is None or t < stop):
             return True
@@ -80,7 +80,7 @@ def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmu
             susp_total += 1
             peer = detail["peer"]
             suspects_by_peer.setdefault(peer, []).append((e["t"], e["node"]))
-            if _crashed_at(windows, peer, e["t"]):
+            if _down_at(windows, peer, e["t"]):
                 susp_true += 1
             else:
                 susp_false += 1
@@ -141,7 +141,7 @@ def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmu
             rec["members_silent"] = sorted(
                 m
                 for m in members
-                if m != rec["node"] and m not in suspectors and not _crashed_at(windows, m, rec["at"])
+                if m != rec["node"] and m not in suspectors and not _down_at(windows, m, rec["at"])
             )
         rec["removed_by"] = 0
 

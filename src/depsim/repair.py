@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .analysis import Diagnosis
-from .containers import Alternative, ContainerRegistry
+from .containers import Alternative, ContainerRegistry, Replica
 
 SimTime = int
 
@@ -198,8 +198,6 @@ def apply_notice(registry: ContainerRegistry, notice: ChangeNotice) -> None:
     data = notice.as_dict()
     action = data.get("action")
     if action == "activate_alternative":
-        from .containers import Replica
-
         container_id = data["container_id"]
         if container_id in registry.containers:
             registry.container(container_id).add_replica(Replica(data["host"], data["service_id"]))

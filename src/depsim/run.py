@@ -11,18 +11,13 @@ is what a real driver talking to a dead host would experience.
 
 from __future__ import annotations
 
-from .runtime import NodeRuntime, RunConfig
+from .runtime import NodeRuntime
 from .scenario import AccessEvent, InvokeEvent, PolicyEvent, Scenario, TelemetryEvent
 from .sim import NetworkModel, Recover, Simulator
 
 
 class SimulationRun:
-    def __init__(
-        self,
-        scenario: Scenario,
-        seed: int | None = None,
-        trace_kinds: list[str] | None = None,
-    ):
+    def __init__(self, scenario: Scenario, seed: int | None = None):
         self.scenario = scenario
         network = NetworkModel(scenario.base_latency, scenario.jitter, scenario.loss)
         node_ids = scenario.topology.nodes()
@@ -30,29 +25,11 @@ class SimulationRun:
             node_ids,
             network,
             seed=scenario.seed if seed is None else seed,
-            trace_kinds=trace_kinds,
             directive_handler=self._on_directive,
-        )
-        cfg = RunConfig(
-            topology=scenario.topology,
-            detector=scenario.detector,
-            analysis=scenario.analysis,
-            repair=scenario.repair,
-            ports=scenario.ports,
-            services=scenario.services,
-            containers=scenario.containers,
-            alternatives=scenario.alternatives,
-            jobs=scenario.jobs,
-            patterns=scenario.patterns,
-            forecasts=scenario.forecasts,
-            behaviors=scenario.behaviors,
-            subjects=scenario.subjects,
-            objects=scenario.objects,
-            rules=scenario.rules,
         )
         self.runtimes: dict[str, NodeRuntime] = {}
         for node in node_ids:
-            rt = NodeRuntime(self.sim, node, cfg)
+            rt = NodeRuntime(self.sim, node, scenario)
             self.sim.attach(node, rt.on_message, rt.on_timer)
             rt.start(0)
             self.runtimes[node] = rt
@@ -96,9 +73,3 @@ class SimulationRun:
     @property
     def trace(self) -> list[dict]:
         return self.sim.trace.entries
-
-
-def run_scenario(
-    scenario: Scenario, seed: int | None = None, trace_kinds: list[str] | None = None
-) -> SimulationRun:
-    return SimulationRun(scenario, seed=seed, trace_kinds=trace_kinds).run()

@@ -16,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
+from . import containers as containers_mod
 from . import repair as repair_mod
-from .analysis import AnalysisEngine, AnalysisParams, Diagnosis, InsufficientData, MonitoringRecord, NoSignal, Pattern, forecast_ma
+from .analysis import AnalysisEngine, Diagnosis, InsufficientData, MonitoringRecord, NoSignal, forecast_ma
 from .containers import ContainerRegistry, Replica, Strategy, UnknownReplica
-from .membership import Detector, DetectorParams, GossipDigest, SummaryBatch, PeerState
-from .repair import AlertOperator, ChangeNotice, RepairPlan, ServicePorts, apply_notice, notice_for
-from .security import ReferenceMonitor, Rule
+from .membership import Detector, GossipDigest, SummaryBatch, PeerState
+from .repair import AlertOperator, ChangeNotice, RepairPlan, apply_notice, notice_for
+from .scenario import BehaviorWindow, Scenario
+from .security import IndexOutOfRange, ReferenceMonitor, Rule
 
 if TYPE_CHECKING:
     from .sim import Simulator
@@ -62,85 +64,6 @@ class NoticeAck:
     notice_id: str
 
 
-# --- configuration shared by all nodes ----------------------------------------
-
-
-@dataclass(frozen=True)
-class ForecastSpec:
-    source: str
-    metric: str
-    k: int
-    horizon: int
-    threshold: float
-    cmp: str = ">"
-    period: int = 20
-    start: int = 0
-    fault_class: str | None = None
-
-
-@dataclass(frozen=True)
-class BehaviorWindow:
-    """Scripted replica misbehavior for (host, service) in [start, stop)."""
-
-    host: str
-    service_id: str
-    kind: str  # corrupt | slow
-    start: int
-    stop: int
-    value: str | None = None
-    delay: int = 0
-
-
-@dataclass(frozen=True)
-class RepairConfig:
-    retry_interval: int
-    retry_max: int = 20
-    policy: tuple[tuple[str, str], ...] = tuple(repair_mod.DEFAULT_POLICY.items())
-
-
-class RunConfig:
-    """Everything a node runtime needs, immutable for the run."""
-
-    def __init__(
-        self,
-        topology,
-        detector: DetectorParams,
-        analysis: AnalysisParams,
-        repair: RepairConfig,
-        ports: ServicePorts,
-        services: dict,
-        containers: tuple,
-        alternatives: tuple,
-        jobs: tuple,
-        patterns: tuple[Pattern, ...],
-        forecasts: tuple[ForecastSpec, ...],
-        behaviors: tuple[BehaviorWindow, ...],
-        subjects: dict,
-        objects: dict,
-        rules: tuple[Rule, ...],
-    ):
-        self.topology = topology
-        self.detector = detector
-        self.analysis = analysis
-        self.repair = repair
-        self.ports = ports
-        self.services = services
-        self.containers = containers
-        self.alternatives = alternatives
-        self.jobs = jobs
-        self.patterns = patterns
-        self.forecasts = forecasts
-        self.behaviors: dict[tuple[str, str], list[BehaviorWindow]] = {}
-        for b in behaviors:
-            self.behaviors.setdefault((b.host, b.service_id), []).append(b)
-        self.subjects = subjects
-        self.objects = objects
-        self.rules = rules
-
-    def fresh_registry(self) -> ContainerRegistry:
-        return ContainerRegistry(self.services, self.containers, self.alternatives, self.jobs)
-
-
 class _Invocation:
     __slots__ = (
         "invocation_id",
@@ -179,28 +102,33 @@ class _PlanRun:
 class NodeRuntime:
     """One node's component stack plus the dispatch tables."""
 
-    def __init__(self, sim: "Simulator", node: str, cfg: RunConfig):
+    def __init__(self, sim: "Simulator", node: str, scenario: Scenario):
         self.sim = sim
         self.node = node
-        self.cfg = cfg
+        self.scenario = scenario
+        # scripted misbehavior of the services this node hosts, by service id
+        self.behaviors: dict[str, list[BehaviorWindow]] = {}
+        for b in scenario.behaviors:
+            if b.host == node:
+                self.behaviors.setdefault(b.service_id, []).append(b)
         self._build(now=0, incarnation=0)
 
     # -- construction and recovery
 
     def _build(self, now: SimTime, incarnation: int) -> None:
-        cfg = self.cfg
+        scn = self.scenario
         self.detector = Detector(
             self.node,
-            cfg.topology,
-            cfg.detector,
+            scn.topology,
+            scn.detector,
             rng=self.sim.rng.stream(self.node, "peers"),
             now=now,
             incarnation=incarnation,
         )
-        self.registry = cfg.fresh_registry()
-        self.engine = AnalysisEngine(cfg.analysis, library=cfg.patterns)
-        self.monitor = ReferenceMonitor(cfg.subjects, cfg.objects, cfg.rules)
-        self.policy_map = dict(cfg.repair.policy)
+        self.registry = ContainerRegistry(scn.services, scn.containers, scn.alternatives, scn.jobs)
+        self.engine = AnalysisEngine(scn.analysis, library=scn.patterns)
+        self.monitor = ReferenceMonitor(scn.subjects, scn.objects, scn.rules)
+        self.policy_map = dict(scn.repair.policy)
         self._invocations: dict[str, _Invocation] = {}
         self._inv_seq = 0
         self._plan_seq = 0
@@ -213,15 +141,15 @@ class NodeRuntime:
 
     def start(self, now: SimTime) -> None:
         """Arm the periodic timers with per-node phase stagger."""
-        cfg = self.cfg
+        scn = self.scenario
         phase_rng = self.sim.rng.stream(self.node, "phase")
-        gossip_phase = phase_rng.randrange(cfg.detector.gossip_interval)
-        summary_phase = phase_rng.randrange(cfg.detector.summary_interval)
-        compare_phase = phase_rng.randrange(cfg.analysis.compare_interval)
+        gossip_phase = phase_rng.randrange(scn.detector.gossip_interval)
+        summary_phase = phase_rng.randrange(scn.detector.summary_interval)
+        compare_phase = phase_rng.randrange(scn.analysis.compare_interval)
         self.sim.set_timer(self.node, gossip_phase + 1, "gossip")
         self.sim.set_timer(self.node, summary_phase + 1, "summary")
         self.sim.set_timer(self.node, compare_phase + 1, "compare")
-        for idx, fc in enumerate(cfg.forecasts):
+        for idx, fc in enumerate(scn.forecasts):
             delay = max(fc.start - now, 0) + fc.period
             self.sim.set_timer(self.node, delay, "forecast", idx)
 
@@ -301,7 +229,7 @@ class NodeRuntime:
             else:
                 self.trace("remove", {"peer": tr.peer})
                 self._try_learn(tr.peer, "NodeCrash", now)
-        self.sim.set_timer(self.node, self.cfg.detector.gossip_interval, "gossip")
+        self.sim.set_timer(self.node, self.scenario.detector.gossip_interval, "gossip")
 
     def _summary_tick(self) -> None:
         summary, sends = self.detector.summarize_and_channel(self.sim.now)
@@ -317,11 +245,11 @@ class NodeRuntime:
             )
         for dst, batch in sends:
             self.sim.send(self.node, dst, batch)
-        self.sim.set_timer(self.node, self.cfg.detector.summary_interval, "summary")
+        self.sim.set_timer(self.node, self.scenario.detector.summary_interval, "summary")
 
     def _on_summary_batch(self, batch: SummaryBatch) -> None:
         det = self.detector
-        is_root_rep = det.cluster == self.cfg.topology.root and min(det.alive_members()) == self.node
+        is_root_rep = det.cluster == self.scenario.topology.root and det.representative(det.cluster) == self.node
         before = det.global_suspected() if is_root_rep else None
         det.apply_summaries(batch)
         if is_root_rep:
@@ -440,11 +368,9 @@ class NodeRuntime:
         self._decide_active(inv)
 
     def _decide_active(self, inv: _Invocation) -> None:
-        from .containers import vote
-
         state = self.registry.container(inv.container_id)
         n = len(state.replicas)
-        winner = vote(inv.responses.values(), n)
+        winner = containers_mod.vote(inv.responses.values(), n)
         counts: dict[str, int] = {}
         for v in inv.responses.values():
             counts[v] = counts.get(v, 0) + 1
@@ -516,7 +442,7 @@ class NodeRuntime:
             return  # not hosting that service: no answer, caller times out
         value = service.respond(msg.request)
         delay = 0
-        for b in self.cfg.behaviors.get((self.node, msg.service_id), ()):
+        for b in self.behaviors.get(msg.service_id, ()):
             if b.start <= self.sim.now < b.stop:
                 if b.kind == "corrupt":
                     value = b.value if b.value is not None else value + "!"
@@ -534,7 +460,7 @@ class NodeRuntime:
     def _compare_tick(self) -> None:
         for diagnosis in self.engine.poll(self.sim.now):
             self._emit_diagnosis(diagnosis)
-        self.sim.set_timer(self.node, self.cfg.analysis.compare_interval, "compare")
+        self.sim.set_timer(self.node, self.scenario.analysis.compare_interval, "compare")
 
     def _emit_diagnosis(self, diagnosis: Diagnosis) -> None:
         self.trace(
@@ -549,7 +475,7 @@ class NodeRuntime:
         self.submit_diagnosis(diagnosis)
 
     def _forecast_tick(self, idx: int) -> None:
-        fc = self.cfg.forecasts[idx]
+        fc = self.scenario.forecasts[idx]
         window = self.engine.windows.get((fc.source, fc.metric))
         if window is not None:
             try:
@@ -643,7 +569,7 @@ class NodeRuntime:
             run.step += 1
             self._advance_plan(subject)
             return
-        ok, latency, detail = self.cfg.ports.call(action)
+        ok, latency, detail = self.scenario.ports.call(action)
         self.sim.set_timer(self.node, latency, "repair_step", (subject, run.step, ok, detail))
 
     def _on_repair_step(self, subject: str, step: int, ok: bool, detail: str) -> None:
@@ -681,27 +607,18 @@ class NodeRuntime:
     # -- change notice propagation ------------------------------------------------
 
     def _propagate(self, notice: ChangeNotice) -> None:
-        rep = min(self.detector.alive_members())
+        rep = self.detector.representative(self.detector.cluster)
         if rep == self.node:
             self._fan_out(notice, exclude=None)
         else:
             self._reliable_send(rep, notice)
 
     def _fan_out(self, notice: ChangeNotice, exclude: str | None) -> None:
+        """Representative only: every other member of our cluster, then
+        the tree targets; ``exclude`` is whoever handed us the notice."""
         det = self.detector
-        targets: list[str] = []
-        for member in self.cfg.topology.clusters[det.cluster]:
-            if member != self.node and member != exclude:
-                targets.append(member)
-        parent = self.cfg.topology.parent[det.cluster]
-        if parent is not None:
-            targets.append(det._remote_rep(parent))
-        for child in self.cfg.topology.children(det.cluster):
-            targets.append(det._remote_rep(child))
-        seen: set[str] = set()
-        for t in targets:
-            if t != self.node and t != exclude and t not in seen:
-                seen.add(t)
+        for t in det.peers + tuple(det.tree_targets()):
+            if t != exclude:
                 self._reliable_send(t, notice)
 
     def _reliable_send(self, dst: str, notice: ChangeNotice) -> None:
@@ -714,14 +631,14 @@ class NodeRuntime:
     def _send_notice(self, dst: str, notice: ChangeNotice, attempt: int) -> None:
         self.trace("notice_sent", {"notice": notice.notice_id, "dst": dst, "attempt": attempt})
         self.sim.send(self.node, dst, NoticeMsg(notice))
-        self.sim.set_timer(self.node, self.cfg.repair.retry_interval, "notice_retry", (dst, notice))
+        self.sim.set_timer(self.node, self.scenario.repair.retry_interval, "notice_retry", (dst, notice))
 
     def _on_notice_retry(self, dst: str, notice: ChangeNotice) -> None:
         key = (dst, notice.notice_id)
         retries = self._pending_acks.get(key)
         if retries is None:
             return  # acked
-        if retries >= self.cfg.repair.retry_max:
+        if retries >= self.scenario.repair.retry_max:
             del self._pending_acks[key]
             self.trace("propagation_incomplete", {"notice": notice.notice_id, "dst": dst, "retries": retries})
             return
@@ -736,7 +653,7 @@ class NodeRuntime:
         self._applied_notices.add(notice.notice_id)
         apply_notice(self.registry, notice)
         self.trace("notice_applied", {"notice": notice.notice_id, "origin": False})
-        if min(self.detector.alive_members()) == self.node:
+        if self.detector.representative(self.detector.cluster) == self.node:
             self._fan_out(notice, exclude=src)
 
     # -- security -------------------------------------------------------------------
@@ -760,8 +677,6 @@ class NodeRuntime:
         self.record_metric(subject, "deny_rate", 1.0 if record.decision == "deny" else 0.0)
 
     def update_policy(self, action: str, index: int, rule: Rule | None) -> None:
-        from .security import IndexOutOfRange
-
         try:
             if action == "insert":
                 version = self.monitor.insert_rule(index, rule)

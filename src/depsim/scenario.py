@@ -21,7 +21,6 @@ from .analysis import AnalysisParams, COMPARATORS, Pattern, Sequence, Threshold,
 from .containers import Alternative, ContainerSpec, JobSpec, Replica, ServiceSpec, Strategy
 from .membership import ClusterTopology, DetectorParams
 from .repair import DEFAULT_POLICY, PortScript, ServicePorts
-from .runtime import BehaviorWindow, ForecastSpec, RepairConfig
 from .security import OPERATIONS, ObjectEntry, Rule, Subject
 from .sim import Crash, Partition, Recover, SetLoss
 
@@ -35,6 +34,42 @@ class ScenarioError(Exception):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}")
+
+
+# --- component configuration not owned by a component module -------------------
+
+
+@dataclass(frozen=True)
+class ForecastSpec:
+    source: str
+    metric: str
+    k: int
+    horizon: int
+    threshold: float
+    cmp: str = ">"
+    period: int = 20
+    start: int = 0
+    fault_class: str | None = None
+
+
+@dataclass(frozen=True)
+class BehaviorWindow:
+    """Scripted replica misbehavior for (host, service) in [start, stop)."""
+
+    host: str
+    service_id: str
+    kind: str  # corrupt | slow
+    start: int
+    stop: int
+    value: str | None = None
+    delay: int = 0
+
+
+@dataclass(frozen=True)
+class RepairConfig:
+    retry_interval: int
+    retry_max: int = 20
+    policy: tuple[tuple[str, str], ...] = tuple(DEFAULT_POLICY.items())
 
 
 # --- scripted events (already expanded to single occurrences) -----------------

@@ -169,27 +169,3 @@ class ReferenceMonitor:
             raise IndexOutOfRange(f"remove index {index} out of range 0..{len(rules) - 1 if rules else 0}")
         self.policy = Policy(version=self.policy.version + 1, rules=rules[:index] + rules[index + 1 :])
         return self.policy.version
-
-
-def audit_query(
-    log: list[AuditRecord],
-    subject: str | None = None,
-    object_id: str | None = None,
-    decision: str | None = None,
-    since: SimTime | None = None,
-    until: SimTime | None = None,
-) -> list[AuditRecord]:
-    out = []
-    for rec in log:
-        if subject is not None and rec.subject != subject:
-            continue
-        if object_id is not None and rec.object_id != object_id:
-            continue
-        if decision is not None and rec.decision != decision:
-            continue
-        if since is not None and rec.at < since:
-            continue
-        if until is not None and rec.at > until:
-            continue
-        out.append(rec)
-    return out

@@ -135,13 +135,12 @@ class NodeHandle:
     is how a crash cancels pending timers without touching the heap.
     """
 
-    __slots__ = ("node_id", "status", "epoch", "crashed_at")
+    __slots__ = ("node_id", "status", "epoch")
 
     def __init__(self, node_id: str):
         self.node_id = node_id
         self.status = NodeStatus.UP
         self.epoch = 0
-        self.crashed_at: SimTime | None = None
 
     @property
     def up(self) -> bool:
@@ -173,14 +172,12 @@ class Simulator:
         node_ids: list[str],
         network: NetworkModel,
         seed: int,
-        trace_kinds: list[str] | None = None,
         directive_handler: Callable[["Simulator", Any], None] | None = None,
     ):
         self.now: SimTime = 0
         self.network = network
-        self.seed = seed
         self.rng = RngFactory(seed)
-        self.trace = TraceRecorder(trace_kinds)
+        self.trace = TraceRecorder()
         self.nodes: dict[str, NodeHandle] = {}
         for nid in node_ids:
             if nid in self.nodes:
@@ -325,7 +322,6 @@ class Simulator:
             if handle.up:
                 handle.status = NodeStatus.CRASHED
                 handle.epoch += 1
-                handle.crashed_at = self.now
                 self.trace.record(self.now, "crash", directive.node, {})
             return
         if isinstance(directive, Recover):
@@ -333,7 +329,6 @@ class Simulator:
             if not handle.up:
                 handle.status = NodeStatus.UP
                 handle.epoch += 1
-                handle.crashed_at = None
                 self.trace.record(self.now, "recover", directive.node, {})
                 if self._directive_handler is not None:
                     self._directive_handler(self, directive)

@@ -11,7 +11,9 @@ identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
+
+from .verify import REQUIRED_DETAIL
 
 
 class MalformedTrace(Exception):
@@ -19,26 +21,15 @@ class MalformedTrace(Exception):
 
 
 class TraceRecorder:
-    """Collects trace entries in memory.
+    """Collects trace entries in memory."""
 
-    ``kinds`` restricts recording to the given kind names; None records
-    everything. Filtering only affects what is recorded, never the
-    simulation itself.
-    """
+    __slots__ = ("entries", "_seq")
 
-    __slots__ = ("entries", "_kinds", "_seq")
-
-    def __init__(self, kinds: Iterable[str] | None = None):
+    def __init__(self) -> None:
         self.entries: list[dict[str, Any]] = []
-        self._kinds = frozenset(kinds) if kinds is not None else None
         self._seq = 0
 
-    def wants(self, kind: str) -> bool:
-        return self._kinds is None or kind in self._kinds
-
     def record(self, t: int, kind: str, node: str | None, detail: dict[str, Any]) -> None:
-        if self._kinds is not None and kind not in self._kinds:
-            return
         # Insertion order of keys is the serialization order.
         self.entries.append({"t": t, "seq": self._seq, "kind": kind, "node": node, "detail": detail})
         self._seq += 1
@@ -56,6 +47,8 @@ def dumps_jsonl(entries: Iterable[dict[str, Any]]) -> str:
 
 
 def load_jsonl(path: str) -> list[dict[str, Any]]:
+    """Read a JSONL trace. Every entry must have the fixed shape and, for
+    its kind, the detail fields the verifier reads."""
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -66,14 +59,30 @@ def load_jsonl(path: str) -> list[dict[str, Any]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedTrace(f"line {lineno}: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise MalformedTrace(f"line {lineno}: entry is not an object")
-            for field in ("t", "seq", "kind", "detail"):
-                if field not in obj:
-                    raise MalformedTrace(f"line {lineno}: missing field {field!r}")
+            problem = _shape_problem(obj)
+            if problem is not None:
+                raise MalformedTrace(f"line {lineno}: {problem}")
             entries.append(obj)
     return entries
 
 
-def iter_kind(entries: Iterable[dict[str, Any]], kind: str) -> Iterator[dict[str, Any]]:
-    return (e for e in entries if e["kind"] == kind)
+def _shape_problem(obj: Any) -> str | None:
+    if not isinstance(obj, dict):
+        return "entry is not an object"
+    for field in ("t", "seq", "kind", "node", "detail"):
+        if field not in obj:
+            return f"missing field {field!r}"
+    for field in ("t", "seq"):
+        if type(obj[field]) is not int:
+            return f"{field} must be an integer, got {obj[field]!r}"
+    kind, node, detail = obj["kind"], obj["node"], obj["detail"]
+    if not isinstance(kind, str):
+        return f"kind must be a string, got {kind!r}"
+    if node is not None and not isinstance(node, str):
+        return f"node must be a string or null, got {node!r}"
+    if not isinstance(detail, dict):
+        return f"detail must be an object, got {detail!r}"
+    for key, typ in REQUIRED_DETAIL.get(kind, {}).items():
+        if not isinstance(detail.get(key), typ):
+            return f"{kind} entry needs detail.{key} of type {typ.__name__}, got {detail.get(key)!r}"
+    return None

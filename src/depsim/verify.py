@@ -32,6 +32,23 @@ from dataclasses import dataclass
 from .membership import ClusterTopology
 
 
+# The detail fields the checks below read by key, with their types, per
+# entry kind. load_jsonl rejects a trace entry that lacks one, so no
+# check meets one missing or mistyped.
+REQUIRED_DETAIL: dict[str, dict[str, type]] = {
+    "send": {"msg_id": int},
+    "notice_applied": {"notice": str},
+    "suspect": {"peer": str},
+    "refute": {"peer": str},
+    "remove": {"peer": str},
+    "access": {"request": str},
+    "audit": {"request": str},
+    "summary": {"cluster": str},
+    "plan": {"plan": str, "actions": list},
+    "plan_done": {"plan": str, "ok": bool},
+}
+
+
 @dataclass(frozen=True)
 class Violation:
     check: str
@@ -92,23 +109,20 @@ def _causality(entries: list[dict], base_latency: int) -> list[Violation]:
 
 def _exactly_once(entries: list[dict]) -> list[Violation]:
     out: list[Violation] = []
-    applied: dict[tuple[str, str], int] = {}  # (node, notice) -> index of last application
-    crash_index: dict[str, list[int]] = {}
-    for i, e in enumerate(entries):
-        if e["kind"] == "crash":
-            crash_index.setdefault(e["node"], []).append(i)
-    for i, e in enumerate(entries):
-        if e["kind"] != "notice_applied":
-            continue
-        key = (e["node"], e["detail"]["notice"])
-        prev = applied.get(key)
-        if prev is not None:
-            crashed_between = any(prev < c < i for c in crash_index.get(e["node"], ()))
-            if not crashed_between:
+    applied: dict[str, set[str]] = {}  # node -> notices applied since its last crash
+    for e in entries:
+        kind = e["kind"]
+        if kind == "crash":
+            # the node's applied set dies with it
+            applied.pop(e["node"], None)
+        elif kind == "notice_applied":
+            notice = e["detail"]["notice"]
+            seen = applied.setdefault(e["node"], set())
+            if notice in seen:
                 out.append(
-                    Violation("exactly-once", f"notice {key[1]} applied twice at the same node", e["t"], e["node"])
+                    Violation("exactly-once", f"notice {notice} applied twice at the same node", e["t"], e["node"])
                 )
-        applied[key] = i
+            seen.add(notice)
     return out
 
 

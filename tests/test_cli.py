@@ -139,6 +139,20 @@ def test_verify_rejects_garbage_trace(tmp_path, capsys):
     assert "trace error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, problem",
+    [
+        ({"t": 3, "seq": 0, "kind": "send", "detail": {"dst": "b", "msg": "M", "msg_id": 0}}, "missing field 'node'"),
+        ({"t": 3, "seq": 0, "kind": "suspect", "node": "a", "detail": {"gap": 40}}, "suspect entry needs detail.peer"),
+    ],
+)
+def test_verify_rejects_malformed_entry(tmp_path, capsys, entry, problem):
+    trace_path = tmp_path / "bad.jsonl"
+    trace_path.write_text(json.dumps(entry) + "\n")
+    assert main(["verify", "--trace", str(trace_path)]) == 2
+    assert f"trace error: line 1: {problem}" in capsys.readouterr().err
+
+
 def test_verify_quiet(scenario_file, tmp_path, capsys):
     trace_path = tmp_path / "out.jsonl"
     main(["run", "--scenario", scenario_file, "--trace-out", str(trace_path), "--quiet"])

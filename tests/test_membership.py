@@ -16,13 +16,9 @@ from depsim.membership import (
     DetectorParams,
     GossipDigest,
     HeartbeatEntry,
-    HeartbeatTable,
-    NoLiveMember,
     PeerState,
     SummaryBatch,
     adapt_timeout,
-    elect_representative,
-    merge,
 )
 
 
@@ -91,56 +87,54 @@ def test_window_slides():
 # --- merge ----------------------------------------------------------------------
 
 
-def fresh_table(owner="me", peers=("p1", "p2"), params=None):
-    params = params or DetectorParams()
-    t = HeartbeatTable(owner)
-    t.entries[owner] = HeartbeatEntry(5, 0, 0, params)
-    for p in peers:
-        t.entries[p] = HeartbeatEntry(0, -1, 0, params)
-    return t, params
+def fresh_detector(peers=("p1", "p2")):
+    topo = ClusterTopology(clusters={"c": ("me",) + tuple(peers)}, parent={"c": None})
+    return Detector("me", topo, DetectorParams(), rng=random.Random(1))
 
 
 def test_merge_advances_counter_and_records_gap():
-    t, params = fresh_table()
-    merge(t, GossipDigest("p1", {"p1": (3, 0)}), now=7, params=params)
-    e = t.entries["p1"]
+    det = fresh_detector()
+    det.merge(GossipDigest("p1", {"p1": (3, 0)}), now=7)
+    e = det.table["p1"]
     assert e.counter == 3 and e.incarnation == 0 and e.last_bump == 7
     # the first advance crossed an incarnation boundary: no usable gap baseline
     assert list(e.gaps) == []
-    merge(t, GossipDigest("p1", {"p1": (4, 0)}), now=12, params=params)
+    det.merge(GossipDigest("p1", {"p1": (4, 0)}), now=12)
     assert list(e.gaps) == [5]
-    merge(t, GossipDigest("p1", {"p1": (6, 0)}), now=20, params=params)
+    det.merge(GossipDigest("p1", {"p1": (6, 0)}), now=20)
     assert list(e.gaps) == [5, 8]
 
 
 def test_merge_never_regresses_counter():
-    t, params = fresh_table()
-    merge(t, GossipDigest("p1", {"p1": (9, 0)}), now=5, params=params)
-    merge(t, GossipDigest("p2", {"p1": (4, 0)}), now=9, params=params)
-    assert t.entries["p1"].counter == 9
-    assert t.entries["p1"].last_bump == 5
+    det = fresh_detector()
+    det.merge(GossipDigest("p1", {"p1": (9, 0)}), now=5)
+    det.merge(GossipDigest("p2", {"p1": (4, 0)}), now=9)
+    assert det.table["p1"].counter == 9
+    assert det.table["p1"].last_bump == 5
 
 
 def test_merge_higher_incarnation_accepts_lower_counter():
-    t, params = fresh_table()
-    merge(t, GossipDigest("p1", {"p1": (50, 0)}), now=5, params=params)
-    merge(t, GossipDigest("p1", {"p1": (1, 3)}), now=9, params=params)
-    e = t.entries["p1"]
+    det = fresh_detector()
+    det.merge(GossipDigest("p1", {"p1": (50, 0)}), now=5)
+    det.merge(GossipDigest("p1", {"p1": (1, 3)}), now=9)
+    e = det.table["p1"]
     assert (e.counter, e.incarnation) == (1, 3)
     assert list(e.gaps) == []  # history voided on restart
 
 
 def test_merge_ignores_own_row():
-    t, params = fresh_table()
-    merge(t, GossipDigest("p1", {"me": (99, 9)}), now=5, params=params)
-    assert t.entries["me"].counter == 5
+    det = fresh_detector()
+    det.local_tick(5)
+    det.merge(GossipDigest("p1", {"me": (99, 9)}), now=5)
+    own = det.table["me"]
+    assert (own.counter, own.incarnation) == (1, 0)
 
 
 def test_merge_inserts_unknown_node_without_gap():
-    t, params = fresh_table()
-    merge(t, GossipDigest("p1", {"px": (2, 0)}), now=5, params=params)
-    assert t.entries["px"].counter == 2
-    assert list(t.entries["px"].gaps) == []
+    det = fresh_detector()
+    det.merge(GossipDigest("p1", {"px": (2, 0)}), now=5)
+    assert det.table["px"].counter == 2
+    assert list(det.table["px"].gaps) == []
 
 
 @settings(max_examples=50)
@@ -157,10 +151,10 @@ def test_merge_order_independent_in_counter_space(updates, seed):
     (incarnation, counter) per node: componentwise max with incarnation
     priority."""
     def final(order):
-        t, params = fresh_table(peers=("p1", "p2", "p3"))
+        det = fresh_detector(peers=("p1", "p2", "p3"))
         for i, (nid, counter, inc) in enumerate(order):
-            merge(t, GossipDigest("p1", {nid: (counter, inc)}), now=i + 1, params=params)
-        return {n: (e.incarnation, e.counter) for n, e in t.entries.items() if n != "me"}
+            det.merge(GossipDigest("p1", {nid: (counter, inc)}), now=i + 1)
+        return {n: (e.incarnation, e.counter) for n, e in det.table.items() if n != "me"}
 
     shuffled = list(updates)
     random.Random(seed).shuffle(shuffled)
@@ -176,11 +170,15 @@ def test_merge_order_independent_in_counter_space(updates, seed):
 
 
 def test_digest_carries_whole_table():
-    t, _ = fresh_table()
-    d = t.digest()
+    det = fresh_detector()
+    det.merge(GossipDigest("p1", {"px": (2, 0)}), now=5)
+    (_, d), _ = det.local_tick(10)
     assert d.origin == "me"
-    assert set(d.entries) == {"me", "p1", "p2"}
-    assert d.entries["me"] == (5, 0)
+    # table insertion order: own row, seeded peers, then rows learned later
+    assert list(d.entries) == ["me", "p1", "p2", "px"]
+    assert d.entries["me"] == (1, 0)
+    assert d.entries["p1"] == (0, -1)
+    assert d.entries["px"] == (2, 0)
 
 
 # --- topology and election ------------------------------------------------------
@@ -208,17 +206,19 @@ def test_topology_accessors():
     topo = two_level_topology()
     assert topo.root == "top"
     assert topo.children("top") == ["leaf"]
-    assert topo.depth() == 1
+    assert topo.parent == {"top": None, "leaf": "top"}
     assert topo.cluster_of["b2"] == "leaf"
     assert set(topo.nodes()) == {"a0", "a1", "b0", "b1", "b2"}
 
 
 def test_elect_representative_min_live():
-    topo = two_level_topology()
-    assert elect_representative("leaf", topo, alive=["b2", "b1"]) == "b1"
-    assert elect_representative("leaf", topo, alive=["b0", "b1", "b2"]) == "b0"
-    with pytest.raises(NoLiveMember):
-        elect_representative("leaf", topo, alive=["a0"])
+    det = Detector("b2", two_level_topology(), DetectorParams(), rng=random.Random(1))
+    assert det.representative("leaf") == "b0"
+    det.view["b0"].state = PeerState.SUSPECTED
+    assert det.representative("leaf") == "b1"
+    det.view["b1"].state = PeerState.REMOVED
+    # the owner is always alive in its own view, so its cluster always has a representative
+    assert det.representative("leaf") == "b2"
 
 
 # --- detector state machine ------------------------------------------------------
@@ -233,7 +233,7 @@ def make_detector(**kw):
 def test_local_tick_bumps_and_targets_fanout():
     det, _ = make_detector()
     sends = det.local_tick(10)
-    assert det.table.entries["me"].counter == 1
+    assert det.table["me"].counter == 1
     assert len(sends) == 2
     targets = {t for t, _ in sends}
     assert targets <= {"p1", "p2"} and len(targets) == 2
@@ -276,7 +276,7 @@ def test_remove_after_cleanup_window():
     assert det.evaluate(161) == []  # t_cleanup=50 not yet exceeded
     trs = det.evaluate(162)
     assert [(t.peer, t.kind) for t in trs if t.peer == "p1"] == [("p1", "remove")]
-    assert det.is_removed("p1")
+    assert det.view["p1"].state is PeerState.REMOVED
     # stale counters at the same incarnation do not resurrect it
     det.merge(GossipDigest("p1", {"p1": (9, 0)}), now=170)
     assert all(t.peer != "p1" for t in det.evaluate(180))
@@ -291,7 +291,7 @@ def test_rejoin_needs_higher_incarnation():
     trs = det.evaluate(210)
     hits = [t for t in trs if t.peer == "p1"]
     assert len(hits) == 1 and hits[0].kind == "refute" and hits[0].rejoin
-    assert det.is_alive("p1")
+    assert det.view["p1"].state is PeerState.ALIVE
 
 
 def test_removed_peers_not_gossip_targets():
@@ -362,8 +362,22 @@ def test_rep_tiebreak_on_equal_epoch():
     assert det.apply_summaries(SummaryBatch("b1", (s_new,))) == [s_new]
 
 
+def test_tree_targets_parent_then_children():
+    topo = ClusterTopology(
+        clusters={"top": ("a0",), "mid": ("m0", "m1"), "x": ("x0",), "y": ("y0", "y1")},
+        parent={"top": None, "mid": "top", "x": "mid", "y": "mid"},
+    )
+    det = Detector("m1", topo, DetectorParams(), rng=random.Random(1))
+    assert det.tree_targets() == ["a0", "x0", "y0"]
+    det.apply_summaries(SummaryBatch("y1", (ClusterSummary("y", 50, "y1", ("y1",), ("y0",)),)))
+    assert det.tree_targets() == ["a0", "x0", "y1"]
+
+
 def test_remote_rep_follows_latest_summary():
     det = hierarchy_detector("a0")
-    assert det._remote_rep("leaf") == "b0"  # default: lowest id
+    assert det.representative("leaf") == "b0"  # default: lowest id
     det.apply_summaries(SummaryBatch("b1", (ClusterSummary("leaf", 50, "b1", ("b1",), ("b0",)),)))
-    assert det._remote_rep("leaf") == "b1"
+    assert det.representative("leaf") == "b1"
+    # a summary with no live member says nothing about who represents the cluster
+    det.apply_summaries(SummaryBatch("b1", (ClusterSummary("leaf", 60, "b1", (), ("b0", "b1")),)))
+    assert det.representative("leaf") == "b0"

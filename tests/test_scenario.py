@@ -89,7 +89,7 @@ def test_hierarchy_parsing():
             ]
         )
     )
-    assert scn.topology.depth() == 2
+    assert scn.topology.parent == {"top": None, "mid": "top", "leaf": "mid"}
     assert scn.topology.children("mid") == ["leaf"]
 
 

@@ -14,7 +14,6 @@ from depsim.security import (
     ReferenceMonitor,
     Rule,
     Subject,
-    audit_query,
     decide,
 )
 
@@ -201,13 +200,17 @@ def test_mediation_reflects_policy_changes():
     assert mon.mediate("bob", "dataset", "read", now=3).decision == "allow"
 
 
-def test_audit_query_filters():
+def test_audit_log_records_every_mediation():
     mon = make_monitor()
-    mon.mediate("bob", "dataset", "read", now=1)
-    mon.mediate("bob", "dataset", "write", now=5)
-    mon.mediate("alice", "dataset", "read", now=9)
-    assert len(audit_query(mon.audit_log, subject="bob")) == 2
-    assert len(audit_query(mon.audit_log, decision="deny")) == 1
-    assert len(audit_query(mon.audit_log, since=5, until=9)) == 2
-    assert len(audit_query(mon.audit_log, object_id="dataset", subject="alice")) == 1
-    assert audit_query(mon.audit_log) == mon.audit_log
+    records = [
+        mon.mediate("bob", "dataset", "read", now=1),
+        mon.mediate("bob", "dataset", "write", now=5),
+        mon.mediate("alice", "dataset", "read", now=9),
+    ]
+    assert mon.audit_log == records
+    assert [(r.at, r.subject, r.object_id, r.op) for r in mon.audit_log] == [
+        (1, "bob", "dataset", "read"),
+        (5, "bob", "dataset", "write"),
+        (9, "alice", "dataset", "read"),
+    ]
+    assert [r.decision for r in mon.audit_log] == ["allow", "deny", "allow"]

@@ -1,6 +1,6 @@
 import pytest
 
-from depsim.tracing import MalformedTrace, TraceRecorder, dump_jsonl, dumps_jsonl, iter_kind, load_jsonl
+from depsim.tracing import MalformedTrace, TraceRecorder, dump_jsonl, dumps_jsonl, load_jsonl
 
 
 def test_record_fixed_shape():
@@ -18,14 +18,6 @@ def test_seq_strictly_increasing_across_kinds():
     for i in range(10):
         rec.record(i, "tick", None, {})
     assert [e["seq"] for e in rec.entries] == list(range(10))
-
-
-def test_kind_filter_skips_but_keeps_seq_order():
-    rec = TraceRecorder(["keep"])
-    rec.record(1, "drop_me", "a", {})
-    rec.record(2, "keep", "a", {})
-    assert not rec.wants("drop_me")
-    assert [e["kind"] for e in rec.entries] == ["keep"]
 
 
 def test_dumps_compact_and_key_order():
@@ -58,9 +50,22 @@ def test_load_rejects_missing_fields(tmp_path):
         load_jsonl(str(path))
 
 
-def test_iter_kind():
-    rec = TraceRecorder()
-    rec.record(1, "a", "n", {})
-    rec.record(2, "b", "n", {})
-    rec.record(3, "a", "m", {})
-    assert [e["t"] for e in iter_kind(rec.entries, "a")] == [1, 3]
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ('{"t": 1, "seq": 0, "kind": "x", "detail": {}}', "missing field 'node'"),
+        ('{"t": 1.5, "seq": 0, "kind": "x", "node": null, "detail": {}}', "t must be an integer"),
+        ('{"t": 1, "seq": "0", "kind": "x", "node": null, "detail": {}}', "seq must be an integer"),
+        ('{"t": 1, "seq": 0, "kind": ["x"], "node": null, "detail": {}}', "kind must be a string"),
+        ('{"t": 1, "seq": 0, "kind": "x", "node": 7, "detail": {}}', "node must be a string or null"),
+        ('{"t": 1, "seq": 0, "kind": "x", "node": "a", "detail": []}', "detail must be an object"),
+        ('{"t": 1, "seq": 0, "kind": "suspect", "node": "a", "detail": {}}', "suspect entry needs detail.peer"),
+        ('{"t": 1, "seq": 0, "kind": "send", "node": "a", "detail": {"msg_id": [1]}}', "send entry needs detail.msg_id"),
+        ('{"t": 1, "seq": 0, "kind": "plan_done", "node": "a", "detail": {"plan": "p"}}', "plan_done entry needs detail.ok"),
+    ],
+)
+def test_load_rejects_bad_shapes_with_line_number(tmp_path, line, problem):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"t": 0, "seq": 0, "kind": "x", "node": null, "detail": {}}\n' + line + "\n")
+    with pytest.raises(MalformedTrace, match=f"^line 2: {problem}"):
+        load_jsonl(str(path))
