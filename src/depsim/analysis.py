@@ -137,11 +137,14 @@ def _threshold_hit(samples: tuple[tuple[int, float], ...], pred: Threshold) -> b
 
 
 def _slope(samples: tuple[tuple[int, float], ...]) -> float:
+    """Least-squares slope, with the exact sums (``math.fsum``) of
+    ``statistics.linear_regression``: a symmetric window such as
+    [0, 0, 43, 0, 0] has slope exactly 0.0."""
     n = len(samples)
-    mean_t = sum(s[0] for s in samples) / n
-    mean_v = sum(s[1] for s in samples) / n
-    num = sum((s[0] - mean_t) * (s[1] - mean_v) for s in samples)
-    den = sum((s[0] - mean_t) ** 2 for s in samples)
+    mean_t = math.fsum(s[0] for s in samples) / n
+    mean_v = math.fsum(s[1] for s in samples) / n
+    num = math.fsum((s[0] - mean_t) * (s[1] - mean_v) for s in samples)
+    den = math.fsum((s[0] - mean_t) * (s[0] - mean_t) for s in samples)
     if den == 0.0:
         return 0.0
     return num / den
@@ -299,6 +302,8 @@ class AnalysisEngine:
         self._learned_keys: set[tuple[str, float, str]] = set()
         self._active: set[tuple[str, str]] = set()
         self._learn_seq = 0
+        # A window or the library changed since the last poll.
+        self._changed = True
 
     def ingest(self, record: MonitoringRecord) -> bool:
         """Append a record. Records older than the newest already seen
@@ -313,13 +318,22 @@ class AnalysisEngine:
             window = deque(maxlen=self.params.capacity)
             self.windows[key] = window
         window.append((record.at, record.value))
+        self._changed = True
         return True
 
     def snapshot(self) -> dict[tuple[str, str], tuple[tuple[int, float], ...]]:
         return {key: tuple(window) for key, window in self.windows.items()}
 
     def poll(self, now: SimTime) -> list[Diagnosis]:
-        """Run compare and return only newly matching diagnoses."""
+        """Run compare and return only newly matching diagnoses.
+
+        compare reads only the windows and the library (``now`` only
+        stamps its diagnoses), so while neither changed it would match
+        exactly what is already active, and nothing is fresh.
+        """
+        if not self._changed:
+            return []
+        self._changed = False
         current = compare(self.snapshot(), self.library, now)
         fresh = [d for d in current if (d.subject, d.fault_class) not in self._active]
         self._active = {(d.subject, d.fault_class) for d in current}
@@ -334,6 +348,7 @@ class AnalysisEngine:
                 return False
             self._learned_keys.add(key)
         self.library.append(pattern)
+        self._changed = True
         return True
 
     def learn(self, subject: str, fault_class: str, fault_time: SimTime) -> Pattern:

@@ -61,42 +61,28 @@ class DetectorParams:
 class HeartbeatEntry:
     """Table row for one peer.
 
-    ``gaps`` holds the last ``window`` observed inter-advance gaps;
-    ``gap_sum``/``gap_sumsq`` track running sums so the timeout is O(1)
-    to recompute. ``timeout`` caches adapt_timeout for the current gap
-    window and is refreshed whenever the window changes.
+    ``gaps`` holds the last ``window`` observed inter-advance gaps.
+    ``timeout`` caches adapt_timeout for the current gap window; every
+    change to the window sets it to ``None`` (stale), and the detector
+    computes it again only when ``evaluate`` reads it.
     """
 
-    __slots__ = ("counter", "incarnation", "last_bump", "gaps", "gap_sum", "gap_sumsq", "timeout")
+    __slots__ = ("counter", "incarnation", "last_bump", "gaps", "timeout")
 
     def __init__(self, counter: int, incarnation: int, last_bump: SimTime, params: DetectorParams):
         self.counter = counter
         self.incarnation = incarnation
         self.last_bump = last_bump
         self.gaps: deque[int] = deque(maxlen=params.window)
-        self.gap_sum = 0
-        self.gap_sumsq = 0
-        self.timeout = params.t_bootstrap
+        self.timeout: int | None = None
 
-    def append_gap(self, gap: int, params: DetectorParams) -> None:
-        if len(self.gaps) == self.gaps.maxlen:
-            old = self.gaps[0]
-            self.gap_sum -= old
-            self.gap_sumsq -= old * old
-        self.gaps.append(gap)
-        self.gap_sum += gap
-        self.gap_sumsq += gap * gap
-        self.timeout = adapt_timeout(self, params)
-
-    def reset(self, counter: int, incarnation: int, now: SimTime, params: DetectorParams) -> None:
+    def reset(self, counter: int, incarnation: int, now: SimTime) -> None:
         """Fresh incarnation: the peer restarted, its history is void."""
         self.counter = counter
         self.incarnation = incarnation
         self.last_bump = now
         self.gaps.clear()
-        self.gap_sum = 0
-        self.gap_sumsq = 0
-        self.timeout = params.t_bootstrap
+        self.timeout = None
 
 
 def adapt_timeout(entry: HeartbeatEntry, params: DetectorParams) -> int:
@@ -107,12 +93,19 @@ def adapt_timeout(entry: HeartbeatEntry, params: DetectorParams) -> int:
     period is a floor until the window has filled once: a handful of
     lucky early samples must not collapse the timeout below what the
     gap distribution's tail will later produce.
+
+    The sums are taken over the gap window on each call; the detector
+    calls this only for a peer whose silence has outlasted
+    ``min(t_min, t_bootstrap)``, the least value it can return. The
+    gaps are ints, so the sums are exact and the result does not depend
+    on how often it is recomputed.
     """
-    n = len(entry.gaps)
+    gaps = entry.gaps
+    n = len(gaps)
     if n == 0:
         return params.t_bootstrap
-    mean = entry.gap_sum / n
-    var = entry.gap_sumsq / n - mean * mean
+    mean = sum(gaps) / n
+    var = sum(g * g for g in gaps) / n - mean * mean
     if var < 0.0:  # float error on near-constant windows
         var = 0.0
     t = math.ceil(mean + params.k * math.sqrt(var))
@@ -266,6 +259,11 @@ class Detector:
         for p in self.peers:
             self.table[p] = HeartbeatEntry(0, -1, now, params)
         self.view: dict[str, PeerView] = {p: PeerView() for p in self.peers}
+        # Peers in state REMOVED, kept by evaluate for the gossip draw.
+        self.removed: set[str] = set()
+        # evaluate finds no transition at any time <= quiet_until; -1
+        # while some peer is suspected or removed, or before any scan.
+        self.quiet_until: SimTime = -1
         self.rng = rng
         self._cycle: list[str] = []
         self.latest: dict[str, ClusterSummary] = {}
@@ -273,11 +271,11 @@ class Detector:
     # -- gossip
 
     def _draw_peers(self) -> list[str]:
-        eligible = [p for p in self.peers if self.view[p].state is not PeerState.REMOVED]
+        removed = self.removed
+        eligible = len(self.peers) - len(removed)
         if not eligible:
             return []
-        need = min(self.params.fanout, len(eligible))
-        eligible_set = set(eligible)
+        need = min(self.params.fanout, eligible)
         out: list[str] = []
         attempts = 0
         limit = 4 * len(self.peers) + 8
@@ -286,7 +284,7 @@ class Detector:
             if not self._cycle:
                 self._cycle = self.rng.sample(self.peers, len(self.peers))
             cand = self._cycle.pop()
-            if cand in eligible_set and cand not in out:
+            if cand not in removed and cand not in out:
                 out.append(cand)
         return out
 
@@ -315,49 +313,80 @@ class Detector:
         """
         table = self.table
         owner = self.owner
-        params = self.params
         for nid, (counter, incarnation) in digest.entries.items():
-            if nid == owner:
-                continue
             entry = table.get(nid)
-            if entry is None:
-                table[nid] = HeartbeatEntry(counter, incarnation, now, params)
-            elif incarnation > entry.incarnation:
-                entry.reset(counter, incarnation, now, params)
-            elif incarnation == entry.incarnation and counter > entry.counter:
-                entry.counter = counter
-                entry.append_gap(now - entry.last_bump, params)
-                entry.last_bump = now
+            if entry is None:  # never the owner: its own row always exists
+                table[nid] = HeartbeatEntry(counter, incarnation, now, self.params)
+            elif incarnation == entry.incarnation:
+                if counter > entry.counter and nid != owner:
+                    entry.counter = counter
+                    entry.gaps.append(now - entry.last_bump)
+                    entry.timeout = None
+                    entry.last_bump = now
+            elif incarnation > entry.incarnation and nid != owner:
+                entry.reset(counter, incarnation, now)
 
     # -- suspicion
 
     def evaluate(self, now: SimTime) -> list[Transition]:
-        """Run the suspicion state machine over every peer entry."""
+        """Run the suspicion state machine over every peer entry.
+
+        While every peer is alive, a scan also records ``quiet_until``,
+        the earliest time at which an alive peer could cross its
+        timeout, and calls up to that time return at once. That skip is
+        exact: ``last_bump`` never decreases, every timeout is at least
+        ``lo = min(t_min, t_bootstrap)``, and ``quiet_until`` is at most
+        ``now + lo``, so a row that changes after the scan cannot reach
+        its timeout before then.
+        """
+        if now <= self.quiet_until:
+            return []
         out: list[Transition] = []
         params = self.params
+        table = self.table
+        view_of = self.view
+        lo = min(params.t_min, params.t_bootstrap)
+        quiet_until = now + lo
         for peer in self.peers:
-            entry = self.table[peer]
-            view = self.view[peer]
+            entry = table[peer]
+            view = view_of[peer]
             state = view.state
             if state is PeerState.ALIVE:
-                gap = now - entry.last_bump
-                if gap > entry.timeout:
-                    view.state = PeerState.SUSPECTED
-                    view.since = now
-                    view.snapshot = (entry.incarnation, entry.counter)
-                    out.append(Transition(peer, "suspect", now, gap=gap))
+                last_bump = entry.last_bump
+                gap = now - last_bump
+                if gap <= lo:
+                    deadline = last_bump + lo
+                else:
+                    timeout = entry.timeout
+                    if timeout is None:
+                        timeout = entry.timeout = adapt_timeout(entry, params)
+                    if gap > timeout:
+                        view.state = PeerState.SUSPECTED
+                        view.since = now
+                        view.snapshot = (entry.incarnation, entry.counter)
+                        out.append(Transition(peer, "suspect", now, gap=gap))
+                        quiet_until = -1
+                        continue
+                    deadline = last_bump + timeout
+                if deadline < quiet_until:
+                    quiet_until = deadline
             elif state is PeerState.SUSPECTED:
+                quiet_until = -1
                 if (entry.incarnation, entry.counter) > view.snapshot:
                     view.state = PeerState.ALIVE
                     out.append(Transition(peer, "refute", now))
                 elif now - view.since > params.t_cleanup:
                     view.state = PeerState.REMOVED
                     view.since = now
+                    self.removed.add(peer)
                     out.append(Transition(peer, "remove", now))
             else:  # REMOVED: terminal until a higher incarnation shows up
+                quiet_until = -1
                 if entry.incarnation > view.snapshot[0]:
                     view.state = PeerState.ALIVE
+                    self.removed.discard(peer)
                     out.append(Transition(peer, "refute", now, rejoin=True))
+        self.quiet_until = quiet_until
         return out
 
     def alive_members(self) -> list[str]:

@@ -225,22 +225,35 @@ class Simulator:
     def send(self, src: str, dst: str, msg: Any) -> None:
         """Queue a message. Loss is drawn at send time from the sender's
         network stream; partitions are checked at delivery time."""
-        sender = self._require_node(src)
-        self._require_node(dst)
-        if not sender.up:
+        nodes = self.nodes
+        sender = nodes.get(src)
+        if sender is None:
+            raise UnknownNode(src)
+        if nodes.get(dst) is None:
+            raise UnknownNode(dst)
+        if sender.status is not NodeStatus.UP:
             raise UnknownNode(f"send from crashed node {src}")
         msg_id = self._msg_seq
-        self._msg_seq += 1
+        self._msg_seq = msg_id + 1
         kind = getattr(msg, "kind", type(msg).__name__)
-        net = self.rng.stream(src, "net")
-        if self.network.loss_probability > 0.0 and net.random() < self.network.loss_probability:
-            self.trace.record(self.now, "drop", dst, {"reason": "loss", "src": src, "msg": kind, "msg_id": msg_id})
-            return
-        delay = self.network.base_latency
-        if self.network.jitter:
-            delay += net.randrange(self.network.jitter + 1)
-        self.trace.record(self.now, "send", src, {"dst": dst, "msg": kind, "msg_id": msg_id})
-        self.schedule(self.now + delay, _DELIVER, (src, dst, msg, msg_id, self.now))
+        now = self.now
+        network = self.network
+        delay = network.base_latency
+        loss = network.loss_probability
+        # A stream is created untouched and no other stream depends on
+        # it, so a run without loss or jitter need not create it.
+        if loss > 0.0 or network.jitter:
+            net = self.rng.stream(src, "net")
+            if loss > 0.0 and net.random() < loss:
+                self.trace.record(now, "drop", dst, {"reason": "loss", "src": src, "msg": kind, "msg_id": msg_id})
+                return
+            if network.jitter:
+                delay += net.randrange(network.jitter + 1)
+        self.trace.record(now, "send", src, {"dst": dst, "msg": kind, "msg_id": msg_id})
+        # base_latency >= 1, so the delivery is never in the past.
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._heap, (now + delay, seq, _DELIVER, (src, dst, msg, msg_id, now)))
 
     def inject_fault(self, directive: Crash | Recover | SetLoss | Partition) -> EventId:
         if isinstance(directive, (Crash, Recover)):
@@ -285,7 +298,7 @@ class Simulator:
                 self.now, "drop", dst, {"reason": "target_crashed", "src": src, "msg": kind, "msg_id": msg_id}
             )
             return
-        if self.network.separated(src, dst, self.now):
+        if self.network.partitions and self.network.separated(src, dst, self.now):
             self.trace.record(
                 self.now, "drop", dst, {"reason": "partition", "src": src, "msg": kind, "msg_id": msg_id}
             )

@@ -3,7 +3,7 @@
 import statistics
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from depsim.analysis import (
@@ -95,6 +95,7 @@ def test_trend_validation():
     st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=8),
     st.floats(-5, 5, allow_nan=False),
 )
+@example(vals=[0, 0, 43, 0, 0], bound=-4.3e-299)  # symmetric window: the slope is exactly 0.0
 def test_trend_hit_agrees_with_statistics(vals, bound):
     samples = series(vals)
     k = len(vals)
@@ -258,6 +259,15 @@ def test_poll_edge_triggers():
     assert eng.poll(5) == []  # condition cleared
     eng.ingest(rec("a", "m", 9, at=6))
     assert len(eng.poll(7)) == 1  # re-arms after clearing
+
+
+def test_poll_sees_pattern_added_between_samples():
+    eng = AnalysisEngine(AnalysisParams())
+    eng.ingest(rec("a", "m", 9, at=1))
+    assert eng.poll(2) == []
+    assert eng.poll(3) == []  # no new sample, no new pattern
+    eng.add_pattern(Pattern("p", "Overload", Threshold("m", ">", 5.0)))
+    assert [d.fault_class for d in eng.poll(4)] == ["Overload"]
 
 
 def test_learn_bound_and_winner():

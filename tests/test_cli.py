@@ -144,6 +144,8 @@ def test_verify_rejects_garbage_trace(tmp_path, capsys):
     [
         ({"t": 3, "seq": 0, "kind": "send", "detail": {"dst": "b", "msg": "M", "msg_id": 0}}, "missing field 'node'"),
         ({"t": 3, "seq": 0, "kind": "suspect", "node": "a", "detail": {"gap": 40}}, "suspect entry needs detail.peer"),
+        ({"t": 3, "seq": 0, "kind": "deliver", "node": "b", "detail": {"msg_id": [1]}}, "deliver entry needs detail.msg_id"),
+        ({"t": 3, "seq": 0, "kind": "alert_operator", "node": "a", "detail": {"plan": {}}}, "alert_operator entry needs detail.plan"),
     ],
 )
 def test_verify_rejects_malformed_entry(tmp_path, capsys, entry, problem):

@@ -1,5 +1,6 @@
-"""Golden traces: the seed-0 JSONL of every bundled scenario is locked
-byte for byte by its sha256.
+"""Golden traces: the seed-0 JSONL of every bundled scenario, and one
+more seed of the crash and loss scenarios, is locked byte for byte by
+its sha256.
 
 A refactor must keep these hashes. A change that alters behaviour on
 purpose updates the hash here and says why in CHANGES.md.
@@ -26,6 +27,18 @@ GOLDEN = {
     "vote-under-corruption": "3045fedbe4a037e82f9f4f65d6ef10e10861cf996e506cb92259e9c0d78e4c46",
 }
 
+# Seed 7 takes paths seed 0 does not: crash-and-heal suspects and
+# removes 3 peers, and lossy-gossip drops 2,363 messages to loss.
+GOLDEN_SEED7 = {
+    "crash-and-heal": "50a2dd22dc873ae94af3723c3aff5127622f11043aa6a78e5e4c88e53d55c5b2",
+    "lossy-gossip": "9995b4e03fa6f8a94968d94d94992ee254987a1b2fbe3d7bcf823f0e0e3764e5",
+}
+
+
+def trace_sha256(name, seed):
+    run = SimulationRun(load_scenario(SCENARIOS / f"{name}.yaml"), seed=seed).run()
+    return hashlib.sha256(dumps_jsonl(run.trace).encode()).hexdigest()
+
 
 def test_every_bundled_scenario_has_a_golden_hash():
     assert sorted(p.stem for p in SCENARIOS.glob("*.yaml")) == sorted(GOLDEN)
@@ -33,6 +46,9 @@ def test_every_bundled_scenario_has_a_golden_hash():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_seed0_trace_matches_golden_hash(name):
-    run = SimulationRun(load_scenario(SCENARIOS / f"{name}.yaml"), seed=0).run()
-    digest = hashlib.sha256(dumps_jsonl(run.trace).encode()).hexdigest()
-    assert digest == GOLDEN[name]
+    assert trace_sha256(name, 0) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEED7))
+def test_seed7_trace_matches_golden_hash(name):
+    assert trace_sha256(name, 7) == GOLDEN_SEED7[name]

@@ -6,7 +6,7 @@ import statistics
 from math import ceil, sqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depsim.membership import (
@@ -24,8 +24,7 @@ from depsim.membership import (
 
 def entry_with_gaps(gaps, params, counter=0, incarnation=0):
     e = HeartbeatEntry(counter, incarnation, 0, params)
-    for g in gaps:
-        e.append_gap(g, params)
+    e.gaps.extend(gaps)
     return e
 
 
@@ -296,9 +295,16 @@ def test_rejoin_needs_higher_incarnation():
 
 def test_removed_peers_not_gossip_targets():
     det, _ = make_detector()
-    det.view["p1"].state = PeerState.REMOVED
+    det.merge(GossipDigest("p1", {"p1": (1, 0)}), now=10)
+    det.merge(GossipDigest("p2", {"p2": (1, 0)}), now=105)
+    det.evaluate(111)  # p1 suspected
+    assert [(t.peer, t.kind) for t in det.evaluate(162)] == [("p1", "remove")]
     for _ in range(6):
-        assert "p1" not in det._draw_peers()
+        assert det._draw_peers() == ["p2"]
+    # a restarted p1 rejoins and is drawn again
+    det.merge(GossipDigest("p1", {"p1": (0, 200), "p2": (2, 0)}), now=200)
+    assert [(t.peer, t.kind, t.rejoin) for t in det.evaluate(210)] == [("p1", "refute", True)]
+    assert "p1" in det._draw_peers()
 
 
 def test_suspected_peers_still_gossip_targets():
@@ -309,6 +315,107 @@ def test_suspected_peers_still_gossip_targets():
     for _ in range(6):
         seen.update(det._draw_peers())
     assert "p1" in seen
+
+
+class EagerDetector:
+    """Reference for Detector.merge/evaluate: the suspicion state machine
+    as specified, scanning every peer on every call with a timeout that
+    adapt_timeout computes afresh each time."""
+
+    def __init__(self, peers, params):
+        self.params = params
+        self.rows = {p: HeartbeatEntry(0, -1, 0, params) for p in peers}
+        self.view = {p: ("alive", 0, (-1, -1)) for p in peers}
+
+    def merge(self, entries, now):
+        for nid, (counter, incarnation) in entries.items():
+            row = self.rows.get(nid)  # None for the owner's own row
+            if row is None:
+                continue
+            if incarnation > row.incarnation:
+                row.counter, row.incarnation, row.last_bump = counter, incarnation, now
+                row.gaps.clear()
+            elif incarnation == row.incarnation and counter > row.counter:
+                row.gaps.append(now - row.last_bump)
+                row.counter, row.last_bump = counter, now
+
+    def evaluate(self, now):
+        out = []
+        for peer, row in self.rows.items():
+            state, since, snapshot = self.view[peer]
+            gap = now - row.last_bump
+            if state == "alive" and gap > adapt_timeout(row, self.params):
+                self.view[peer] = ("suspected", now, (row.incarnation, row.counter))
+                out.append((peer, "suspect", now, gap, False))
+            elif state == "suspected" and (row.incarnation, row.counter) > snapshot:
+                self.view[peer] = ("alive", since, snapshot)
+                out.append((peer, "refute", now, 0, False))
+            elif state == "suspected" and now - since > self.params.t_cleanup:
+                self.view[peer] = ("removed", now, snapshot)
+                out.append((peer, "remove", now, 0, False))
+            elif state == "removed" and row.incarnation > snapshot[0]:
+                self.view[peer] = ("alive", since, snapshot)
+                out.append((peer, "refute", now, 0, True))
+        return out
+
+
+CLUSTER4 = ("me", "p1", "p2", "p3")
+# (ticks since the previous step, what to do at the new time): digest
+# entries to merge, None to evaluate once, or "sweep" to evaluate at
+# every tick since the previous step, which lands on each deadline.
+detector_steps = st.lists(
+    st.tuples(
+        st.integers(0, 15),
+        st.none()
+        | st.just("sweep")
+        | st.dictionaries(st.sampled_from(CLUSTER4), st.tuples(st.integers(0, 12), st.integers(0, 2))),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=detector_steps,
+    window=st.integers(1, 4),
+    k=st.sampled_from([0.0, 1.5, 4.0]),
+    t_min=st.integers(1, 8),
+    t_bootstrap=st.integers(1, 12),
+    t_cleanup=st.integers(1, 12),
+)
+@example(  # suspect, refute, remove, then rejoin after a restart
+    steps=[(0, {"p1": (1, 0), "p2": (1, 0), "p3": (1, 0)}), (9, None), (1, {"p1": (2, 0), "p2": (2, 0), "p3": (2, 0)}),
+           (1, None), (11, None), (12, None), (1, {"p2": (0, 1)}), (0, None)],
+    window=2, k=0.0, t_min=3, t_bootstrap=8, t_cleanup=10,
+)
+@example(  # p1 restarts right after a scan, so it crosses its timeout one tick past now + lo
+    steps=[(0, {"p1": (1, 0), "p2": (1, 0), "p3": (1, 0)}), (2, {"p1": (2, 0), "p2": (2, 0), "p3": (2, 0)}),
+           (4, None), (0, {"p1": (0, 1)}), (4, "sweep")],
+    window=1, k=0.0, t_min=8, t_bootstrap=3, t_cleanup=10,
+)
+def test_evaluate_matches_eager_reference(steps, window, k, t_min, t_bootstrap, t_cleanup):
+    """The lazy timeouts, the deadline skip and the removed set change
+    nothing: every evaluate gives the transitions and views of a full
+    eager scan."""
+    params = DetectorParams(gossip_interval=1, window=window, k=k, t_min=t_min, t_max=40,
+                            t_bootstrap=t_bootstrap, t_cleanup=t_cleanup)
+    topo = ClusterTopology(clusters={"c": CLUSTER4}, parent={"c": None})
+    det = Detector("me", topo, params, rng=random.Random(0))
+    ref = EagerDetector(CLUSTER4[1:], params)
+    now = 0
+    for dt, action in steps:
+        if isinstance(action, dict):
+            now += dt
+            det.merge(GossipDigest("p1", action), now)
+            ref.merge(action, now)
+            continue
+        times = range(now + 1, now + dt + 1) if action == "sweep" else [now + dt]
+        for now in times:
+            got = [(t.peer, t.kind, t.at, t.gap, t.rejoin) for t in det.evaluate(now)]
+            assert got == ref.evaluate(now)
+            views = {p: (v.state.value, v.since, v.snapshot) for p, v in det.view.items()}
+            assert views == ref.view
+            assert det.removed == {p for p, (state, _, _) in ref.view.items() if state == "removed"}
 
 
 # --- summaries --------------------------------------------------------------------
