@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 SimTime = int
 
@@ -122,20 +122,6 @@ class Prediction:
 # --- predicate evaluation (pure) ---------------------------------------------
 
 
-def _threshold_hit(samples: tuple[tuple[int, float], ...], pred: Threshold) -> bool:
-    """True when the most recent min_consecutive samples all satisfy the
-    comparison. Older history does not matter: the condition must hold
-    right now."""
-    m = pred.min_consecutive
-    if len(samples) < m:
-        return False
-    op = COMPARATORS[pred.cmp]
-    for _, value in samples[-m:]:
-        if not op(value, pred.bound):
-            return False
-    return True
-
-
 def _slope(samples: tuple[tuple[int, float], ...]) -> float:
     """Least-squares slope, with the exact sums (``math.fsum``) of
     ``statistics.linear_regression``: a symmetric window such as
@@ -150,22 +136,22 @@ def _slope(samples: tuple[tuple[int, float], ...]) -> float:
     return num / den
 
 
-def _trend_hit(samples: tuple[tuple[int, float], ...], pred: Trend) -> bool:
-    if len(samples) < pred.k:
-        return False
-    return COMPARATORS[pred.cmp](_slope(samples[-pred.k :]), pred.slope_bound)
-
-
-def _step_hit_times(samples: tuple[tuple[int, float], ...], step: Union[Threshold, Trend]) -> list[int]:
-    """Sample times at which the step predicate holds over the history
-    up to and including that sample."""
-    times = []
-    for i in range(1, len(samples) + 1):
-        prefix = samples[:i]
-        hit = _threshold_hit(prefix, step) if isinstance(step, Threshold) else _trend_hit(prefix, step)
-        if hit:
-            times.append(samples[i - 1][0])
-    return times
+def _hits(samples: tuple[tuple[int, float], ...], step: Union[Threshold, Trend]) -> Iterator[int]:
+    """Yield each index i at which the step holds over ``samples[:i+1]``:
+    the last min_consecutive samples all satisfy the comparison, or the
+    slope of the last k samples does. Older history does not matter."""
+    op = COMPARATORS[step.cmp]
+    if isinstance(step, Threshold):
+        bound, need, run = step.bound, step.min_consecutive, 0
+        for i, (_, value) in enumerate(samples):
+            run = run + 1 if op(value, bound) else 0
+            if run >= need:
+                yield i
+    else:
+        k = step.k
+        for i in range(k - 1, len(samples)):
+            if op(_slope(samples[i - k + 1 : i + 1]), step.slope_bound):
+                yield i
 
 
 def _sequence_hit(windows_by_metric: dict[str, tuple[tuple[int, float], ...]], pred: Sequence) -> bool:
@@ -174,13 +160,8 @@ def _sequence_hit(windows_by_metric: dict[str, tuple[tuple[int, float], ...]], p
     chain: list[int] = []
     for step in pred.steps:
         samples = windows_by_metric.get(step.metric, ())
-        times = _step_hit_times(samples, step)
-        floor = chain[-1] if chain else None
-        nxt = None
-        for t in times:
-            if floor is None or t > floor:
-                nxt = t
-                break
+        times = (samples[i][0] for i in _hits(samples, step))
+        nxt = next((t for t in times if not chain or t > chain[-1]), None)
         if nxt is None:
             return False
         chain.append(nxt)
@@ -207,24 +188,20 @@ def compare(
     for pattern in library:
         pred = pattern.predicate
         for source, metrics in by_source.items():
-            if isinstance(pred, Threshold):
-                samples = metrics.get(pred.metric)
-                hit = samples is not None and _threshold_hit(samples, pred)
-                excerpt_from = samples[-pred.min_consecutive :] if hit else ()
-            elif isinstance(pred, Trend):
-                samples = metrics.get(pred.metric)
-                hit = samples is not None and _trend_hit(samples, pred)
-                excerpt_from = samples[-pred.k :] if hit else ()
-            else:
+            if isinstance(pred, Sequence):
                 hit = _sequence_hit(metrics, pred)
-                first = metrics.get(pred.steps[-1].metric, ())
-                excerpt_from = first[-4:] if hit else ()
+                excerpt = metrics.get(pred.steps[-1].metric, ())[-4:]
+            else:
+                # A single step holds now when it holds at the last sample.
+                w = pred.min_consecutive if isinstance(pred, Threshold) else pred.k
+                excerpt = metrics.get(pred.metric, ())[-w:]
+                hit = len(excerpt) == w and w - 1 in _hits(excerpt, pred)
             if not hit:
                 continue
             key = (source, pattern.fault_class)
             slot = grouped.setdefault(key, {"confidence": 0.0, "evidence": []})
             slot["confidence"] = max(slot["confidence"], pattern.confidence)
-            slot["evidence"].append((pattern.pattern_id, tuple(excerpt_from)))
+            slot["evidence"].append((pattern.pattern_id, tuple(excerpt)))
 
     return [
         Diagnosis(subject=source, fault_class=fc, confidence=slot["confidence"], at=now, evidence=tuple(slot["evidence"]))

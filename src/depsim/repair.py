@@ -12,13 +12,11 @@ deduplicated hops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .analysis import Diagnosis
 from .containers import Alternative, ContainerRegistry, Replica
-
-SimTime = int
 
 
 @dataclass(frozen=True)
@@ -28,7 +26,6 @@ class ActivateAlternative:
     host: str
     service_id: str
     state_changing = True
-    port = "index"
 
 
 @dataclass(frozen=True)
@@ -37,7 +34,6 @@ class RestoreCheckpoint:
     job_id: str
     checkpoint: str
     state_changing = True
-    port = "checkpoint_store"
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,6 @@ class RescheduleJobs:
     name = "reschedule_jobs"
     job_ids: tuple[str, ...]
     state_changing = True
-    port = "scheduler"
 
 
 @dataclass(frozen=True)
@@ -53,7 +48,6 @@ class AlertOperator:
     name = "alert_operator"
     reason: str
     state_changing = False
-    port = None
 
 
 RepairAction = Union[ActivateAlternative, RestoreCheckpoint, RescheduleJobs, AlertOperator]
@@ -64,7 +58,6 @@ class RepairPlan:
     plan_id: str
     subject: str
     fault_class: str
-    created_at: SimTime
     actions: tuple[RepairAction, ...]
 
 
@@ -106,7 +99,6 @@ def plan(diagnosis: Diagnosis, policy: dict[str, str], context: ContainerRegistr
         plan_id=plan_id,
         subject=diagnosis.subject,
         fault_class=diagnosis.fault_class,
-        created_at=diagnosis.at,
         actions=actions,
     )
 
@@ -165,50 +157,28 @@ class ServicePorts:
 class ChangeNotice:
     notice_id: str
     origin: str
-    created_at: SimTime
-    summary: str
-    payload: tuple[tuple[str, object], ...]  # applied as a dict by receivers
-
-    def as_dict(self) -> dict:
-        return dict(self.payload)
+    action: RepairAction  # state-changing; receivers apply it to their registry
 
 
-def notice_for(action: RepairAction, notice_id: str, origin: str, now: SimTime) -> ChangeNotice:
-    if isinstance(action, ActivateAlternative):
-        payload = (
-            ("action", action.name),
-            ("container_id", action.container_id),
-            ("host", action.host),
-            ("service_id", action.service_id),
-        )
-        summary = f"activated {action.service_id} on {action.host} for {action.container_id}"
-    elif isinstance(action, RestoreCheckpoint):
-        payload = (("action", action.name), ("job_id", action.job_id), ("checkpoint", action.checkpoint))
-        summary = f"restored {action.job_id} from {action.checkpoint}"
-    elif isinstance(action, RescheduleJobs):
-        payload = (("action", action.name), ("job_ids", action.job_ids))
-        summary = f"rescheduled {','.join(action.job_ids)}"
-    else:
+def notice_for(action: RepairAction, notice_id: str, origin: str) -> ChangeNotice:
+    if not action.state_changing:
         raise ValueError(f"action {action.name} does not change state")
-    return ChangeNotice(notice_id=notice_id, origin=origin, created_at=now, summary=summary, payload=payload)
+    return ChangeNotice(notice_id, origin, action)
 
 
 def apply_notice(registry: ContainerRegistry, notice: ChangeNotice) -> None:
     """Apply a notice to a node's local registry. Idempotent."""
-    data = notice.as_dict()
-    action = data.get("action")
-    if action == "activate_alternative":
-        container_id = data["container_id"]
-        if container_id in registry.containers:
-            registry.container(container_id).add_replica(Replica(data["host"], data["service_id"]))
-            alt = Alternative(container_id, data["host"], data["service_id"])
-            registry.consume_alternative(alt)
-    elif action == "restore_checkpoint":
-        job = registry.jobs.get(data["job_id"])
+    action = notice.action
+    if isinstance(action, ActivateAlternative):
+        if action.container_id in registry.containers:
+            registry.container(action.container_id).add_replica(Replica(action.host, action.service_id))
+            registry.consume_alternative(Alternative(action.container_id, action.host, action.service_id))
+    elif isinstance(action, RestoreCheckpoint):
+        job = registry.jobs.get(action.job_id)
         if job is not None:
             job.status = "restored"
-    elif action == "reschedule_jobs":
-        for job_id in data["job_ids"]:
+    elif isinstance(action, RescheduleJobs):
+        for job_id in action.job_ids:
             job = registry.jobs.get(job_id)
             if job is not None:
                 job.status = "rescheduled"

@@ -589,7 +589,7 @@ class NodeRuntime:
         if action.state_changing:
             self._notice_seq += 1
             notice_id = f"{self.node}.{self._epoch()}.n{self._notice_seq}"
-            notice = notice_for(action, notice_id, self.node, self.sim.now)
+            notice = notice_for(action, notice_id, self.node)
             self._applied_notices.add(notice_id)
             apply_notice(self.registry, notice)
             self.trace("notice_applied", {"notice": notice_id, "origin": True})

@@ -26,6 +26,10 @@ from .sim import Crash, Partition, Recover, SetLoss
 
 FaultDirective = Crash | Recover | SetLoss | Partition
 
+# Most scripted events (invocations, accesses, telemetry) one scenario
+# may expand to; a larger file fails to load instead of exhausting memory.
+MAX_EXPANDED_EVENTS = 1_000_000
+
 
 class ScenarioError(Exception):
     """Invalid scenario file; ``path`` points at the offending field."""
@@ -148,6 +152,25 @@ _MISSING = object()
 
 def _fail(path: str, message: str) -> None:
     raise ScenarioError(path, message)
+
+
+class _Expansion:
+    """Running total of expanded scripted events, checked against
+    MAX_EXPANDED_EVENTS before each entry is expanded."""
+
+    def __init__(self) -> None:
+        self.total = 0
+
+    def take(self, n: int, path: str) -> None:
+        self.total += n
+        if self.total > MAX_EXPANDED_EVENTS:
+            _fail(path, f"scripted events would reach {self.total}, above the limit of {MAX_EXPANDED_EVENTS}")
+
+
+def _range_len(start: int, stop: int, step: int) -> int:
+    """len(range(start, stop, step)) for step >= 1, without the C-size
+    limit of ``len`` on a range."""
+    return max(0, -((start - stop) // step))
 
 
 def _field(data: dict, path: str, key: str, default=_MISSING):
@@ -558,7 +581,9 @@ def _parse_rule(r: dict, path: str) -> Rule:
         _fail(path, str(exc))
 
 
-def _parse_workload(data: dict, nodes: set[str], containers: tuple[ContainerSpec, ...], until: int):
+def _parse_workload(
+    data: dict, nodes: set[str], containers: tuple[ContainerSpec, ...], until: int, expansion: _Expansion
+):
     wl = _map(data, "scenario", "workload", {})
     known_containers = {c.container_id for c in containers}
 
@@ -573,11 +598,13 @@ def _parse_workload(data: dict, nodes: set[str], containers: tuple[ContainerSpec
             _fail(f"{path}.container", f"unknown container {container!r}")
         request = _str(w, path, "request")
         if "at" in w:
+            expansion.take(1, path)
             invocations.append(InvokeEvent(_int(w, path, "at", minimum=0), client, container, request))
             continue
         start = _int(w, path, "start", minimum=0)
         period = _int(w, path, "period", minimum=1)
         stop = _int(w, path, "stop", until, minimum=1)
+        expansion.take(_range_len(start, min(stop, until), period), path)
         for at in range(start, min(stop, until), period):
             invocations.append(InvokeEvent(at, client, container, request))
 
@@ -594,6 +621,7 @@ def _parse_workload(data: dict, nodes: set[str], containers: tuple[ContainerSpec
         at = _int(w, path, "at", minimum=0)
         count = _int(w, path, "count", 1, minimum=1)
         every = _int(w, path, "every", 1, minimum=1)
+        expansion.take(count, f"{path}.count")
         for j in range(count):
             req_seq += 1
             accesses.append(AccessEvent(at + j * every, node, f"a{req_seq}", subject, object_id, op))
@@ -615,7 +643,7 @@ def _parse_workload(data: dict, nodes: set[str], containers: tuple[ContainerSpec
     return tuple(invocations), tuple(accesses), tuple(policy_updates)
 
 
-def _parse_telemetry(data: dict, nodes: set[str]) -> tuple[TelemetryEvent, ...]:
+def _parse_telemetry(data: dict, nodes: set[str], expansion: _Expansion) -> tuple[TelemetryEvent, ...]:
     out: list[TelemetryEvent] = []
     for i, t in enumerate(_list(data, "scenario", "telemetry", [])):
         path = f"telemetry[{i}]"
@@ -625,6 +653,7 @@ def _parse_telemetry(data: dict, nodes: set[str]) -> tuple[TelemetryEvent, ...]:
         source = _str(t, path, "source")
         metric = _str(t, path, "metric")
         if "at" in t:
+            expansion.take(1, path)
             out.append(TelemetryEvent(_int(t, path, "at", minimum=0), node, source, metric, _num(t, path, "value")))
             continue
         start = _int(t, path, "start", minimum=0)
@@ -632,7 +661,8 @@ def _parse_telemetry(data: dict, nodes: set[str]) -> tuple[TelemetryEvent, ...]:
         every = _int(t, path, "every", 1, minimum=1)
         if stop <= start:
             _fail(f"{path}.stop", f"must be > start ({start}), got {stop}")
-        ticks = list(range(start, stop, every))
+        expansion.take(_range_len(start, stop, every), path)
+        ticks = range(start, stop, every)
         if "from" in t or "to" in t:
             lo = _num(t, path, "from")
             hi = _num(t, path, "to")
@@ -696,7 +726,8 @@ def parse_scenario(data, default_name: str = "scenario") -> Scenario:
     containers = _parse_containers(data, nodes, services)
     alternatives = _parse_alternatives(data, nodes, services, containers)
     subjects, objects, rules = _parse_security(data)
-    invocations, accesses, policy_updates = _parse_workload(data, nodes, containers, until)
+    expansion = _Expansion()
+    invocations, accesses, policy_updates = _parse_workload(data, nodes, containers, until, expansion)
 
     return Scenario(
         name=name,
@@ -723,7 +754,7 @@ def parse_scenario(data, default_name: str = "scenario") -> Scenario:
         invocations=invocations,
         accesses=accesses,
         policy_updates=policy_updates,
-        telemetry=_parse_telemetry(data, nodes),
+        telemetry=_parse_telemetry(data, nodes, expansion),
         faults=_parse_faults(data, nodes, until),
     )
 

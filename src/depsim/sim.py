@@ -344,17 +344,20 @@ class Simulator:
                 handle.epoch += 1
                 self.trace.record(self.now, "recover", directive.node, {})
                 if self._directive_handler is not None:
-                    self._directive_handler(self, directive)
+                    self._handle_directive(directive)
             return
         if isinstance(directive, SetLoss):
             self.network.loss_probability = directive.probability
             self.trace.record(self.now, "set_loss", None, {"probability": directive.probability})
             return
         if self._directive_handler is not None:
-            try:
-                self._directive_handler(self, directive)
-            except Exception as exc:
-                logger.exception("directive handler failed")
-                self.trace.record(self.now, "module_error", None, {"directive": repr(directive), "error": repr(exc)})
+            self._handle_directive(directive)
         else:
             self.trace.record(self.now, "unrouted", None, {"directive": repr(directive)})
+
+    def _handle_directive(self, directive: Any) -> None:
+        try:
+            self._directive_handler(self, directive)
+        except Exception as exc:  # like node handlers, a directive handler must not take down the loop
+            logger.exception("directive handler failed")
+            self.trace.record(self.now, "module_error", None, {"directive": repr(directive), "error": repr(exc)})

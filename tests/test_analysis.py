@@ -3,12 +3,14 @@
 import statistics
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depsim.analysis import (
+    COMPARATORS,
     AnalysisEngine,
     AnalysisParams,
+    Diagnosis,
     InsufficientData,
     MonitoringRecord,
     NoSignal,
@@ -16,6 +18,7 @@ from depsim.analysis import (
     Sequence,
     Threshold,
     Trend,
+    _slope,
     compare,
     forecast_ma,
 )
@@ -182,6 +185,93 @@ def test_compare_groups_by_subject_and_fault_class():
     assert [pid for pid, _ in both.evidence] == ["p1", "p2"]
     assert got[("b", "Overload")].confidence == 0.4
     assert all(d.at == 33 for d in got.values())
+
+
+# --- compare against a prefix-rescan reference -------------------------------------
+
+
+def ref_step_holds(samples, step):
+    """Does the step hold over the whole of ``samples`` right now?"""
+    op = COMPARATORS[step.cmp]
+    if isinstance(step, Threshold):
+        m = step.min_consecutive
+        return len(samples) >= m and all(op(v, step.bound) for _, v in samples[-m:])
+    return len(samples) >= step.k and op(_slope(samples[-step.k :]), step.slope_bound)
+
+
+def ref_sequence_holds(metrics, pred):
+    """Rescan every prefix for each step; chain the earliest strictly
+    later hit time."""
+    chain = []
+    for step in pred.steps:
+        samples = metrics.get(step.metric, ())
+        times = [samples[i - 1][0] for i in range(1, len(samples) + 1) if ref_step_holds(samples[:i], step)]
+        later = [t for t in times if not chain or t > chain[-1]]
+        if not later:
+            return False
+        chain.append(later[0])
+    return chain[-1] - chain[0] <= pred.span
+
+
+def ref_compare(windows, library, now):
+    grouped = {}
+    for pattern in library:
+        pred = pattern.predicate
+        for source in dict.fromkeys(src for src, _ in windows):
+            metrics = {m: w for (src, m), w in windows.items() if src == source}
+            if isinstance(pred, Sequence):
+                hit = ref_sequence_holds(metrics, pred)
+                excerpt = metrics.get(pred.steps[-1].metric, ())[-4:]
+            else:
+                samples = metrics.get(pred.metric, ())
+                hit = ref_step_holds(samples, pred)
+                excerpt = samples[-(pred.min_consecutive if isinstance(pred, Threshold) else pred.k) :]
+            if hit:
+                conf, evidence = grouped.get((source, pattern.fault_class), (0.0, ()))
+                grouped[(source, pattern.fault_class)] = (
+                    max(conf, pattern.confidence),
+                    evidence + ((pattern.pattern_id, excerpt),),
+                )
+    return [Diagnosis(src, fc, conf, now, ev) for (src, fc), (conf, ev) in grouped.items()]
+
+
+METRICS = ("cpu", "err")
+cmps = st.sampled_from(sorted(COMPARATORS))
+thresholds = st.builds(Threshold, st.sampled_from(METRICS), cmps, st.integers(0, 4).map(float), st.integers(1, 4))
+trends = st.builds(Trend, st.sampled_from(METRICS), st.integers(2, 4), cmps, st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+steps = st.one_of(thresholds, trends)
+predicates = st.one_of(
+    steps, st.builds(Sequence, st.lists(steps, min_size=2, max_size=3).map(tuple), st.integers(1, 12))
+)
+
+
+@st.composite
+def window_sets(draw):
+    """Short windows of small values; timestamps never decrease and often
+    repeat, as ingest allows."""
+    out = {}
+    for source in ("a", "b"):
+        for metric in METRICS:
+            gaps = draw(st.lists(st.integers(0, 3), max_size=10))
+            if gaps:
+                values = draw(st.lists(st.integers(0, 4), min_size=len(gaps), max_size=len(gaps)))
+                t, samples = 0, []
+                for gap, v in zip(gaps, values):
+                    t += gap
+                    samples.append((t, float(v)))
+                out[(source, metric)] = tuple(samples)
+    return out
+
+
+@settings(max_examples=400)
+@given(window_sets(), st.lists(predicates, min_size=1, max_size=4))
+@example(  # a trend step inside a sequence, over a repeated timestamp
+    windows={("a", "cpu"): ((0, 0.0), (1, 2.0), (1, 4.0)), ("a", "err"): ((1, 3.0), (2, 3.0))},
+    preds=[Sequence((Trend("cpu", 2, ">", 0.5), Threshold("err", ">=", 3.0, 2)), span=1)],
+)
+def test_compare_matches_prefix_rescan_reference(windows, preds):
+    library = [Pattern(f"p{i}", f"F{i % 2}", pred, confidence=0.1 * (i + 1)) for i, pred in enumerate(preds)]
+    assert compare(windows, library, now=7) == ref_compare(windows, library, now=7)
 
 
 # --- forecast ---------------------------------------------------------------------

@@ -45,7 +45,7 @@ def registry(with_alt=True, checkpoint="ck7"):
 def test_plan_service_crash_with_alternative():
     p = plan(diag("store", "ServiceCrash"), DEFAULT_POLICY, registry(), "plan-1")
     assert p.actions == (ActivateAlternative("store", "h9", "s1"),)
-    assert (p.plan_id, p.subject, p.fault_class, p.created_at) == ("plan-1", "store", "ServiceCrash", 50)
+    assert (p.plan_id, p.subject, p.fault_class) == ("plan-1", "store", "ServiceCrash")
 
 
 def test_plan_service_crash_without_alternative_alerts():
@@ -149,25 +149,24 @@ def test_port_script_validation():
 
 
 def test_notice_for_each_state_changing_action():
-    n = notice_for(ActivateAlternative("store", "h9", "s1"), "n1", "node-a", now=7)
-    assert n.notice_id == "n1" and n.origin == "node-a" and n.created_at == 7
-    assert n.as_dict() == {"action": "activate_alternative", "container_id": "store", "host": "h9", "service_id": "s1"}
+    n = notice_for(ActivateAlternative("store", "h9", "s1"), "n1", "node-a")
+    assert n == ChangeNotice("n1", "node-a", ActivateAlternative("store", "h9", "s1"))
 
-    n2 = notice_for(RestoreCheckpoint("j1", "ck7"), "n2", "node-a", now=8)
-    assert n2.as_dict()["checkpoint"] == "ck7"
+    n2 = notice_for(RestoreCheckpoint("j1", "ck7"), "n2", "node-a")
+    assert n2.action.checkpoint == "ck7"
 
-    n3 = notice_for(RescheduleJobs(("j1", "j2")), "n3", "node-a", now=9)
-    assert n3.as_dict()["job_ids"] == ("j1", "j2")
+    n3 = notice_for(RescheduleJobs(("j1", "j2")), "n3", "node-a")
+    assert n3.action.job_ids == ("j1", "j2")
 
 
 def test_notice_for_rejects_alerts():
     with pytest.raises(ValueError):
-        notice_for(AlertOperator("x"), "n", "node-a", now=1)
+        notice_for(AlertOperator("x"), "n", "node-a")
 
 
 def test_apply_notice_activate_alternative():
     reg = registry()
-    n = notice_for(ActivateAlternative("store", "h9", "s1"), "n1", "a", now=1)
+    n = notice_for(ActivateAlternative("store", "h9", "s1"), "n1", "a")
     apply_notice(reg, n)
     state = reg.container("store")
     assert Replica("h9", "s1") in state.replicas
@@ -179,14 +178,14 @@ def test_apply_notice_activate_alternative():
 
 def test_apply_notice_job_status():
     reg = registry()
-    apply_notice(reg, notice_for(RestoreCheckpoint("j1", "ck7"), "n", "a", now=1))
+    apply_notice(reg, notice_for(RestoreCheckpoint("j1", "ck7"), "n", "a"))
     assert reg.jobs["j1"].status == "restored"
-    apply_notice(reg, notice_for(RescheduleJobs(("j1",)), "n2", "a", now=2))
+    apply_notice(reg, notice_for(RescheduleJobs(("j1",)), "n2", "a"))
     assert reg.jobs["j1"].status == "rescheduled"
 
 
 def test_apply_notice_tolerates_unknown_targets():
     reg = registry()
-    apply_notice(reg, notice_for(ActivateAlternative("ghost", "h", "s"), "n", "a", now=1))
-    apply_notice(reg, notice_for(RescheduleJobs(("ghost-job",)), "n2", "a", now=2))
+    apply_notice(reg, notice_for(ActivateAlternative("ghost", "h", "s"), "n", "a"))
+    apply_notice(reg, notice_for(RescheduleJobs(("ghost-job",)), "n2", "a"))
     assert reg.jobs["j1"].status == "running"

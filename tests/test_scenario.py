@@ -6,6 +6,7 @@ import textwrap
 
 import pytest
 
+from depsim import scenario
 from depsim.scenario import ScenarioError, load_scenario, parse_scenario
 from depsim.sim import Crash, Partition, Recover, SetLoss
 
@@ -265,6 +266,35 @@ def test_access_expansion_numbers_requests():
     )
     assert [(a.at, a.request_id) for a in scn.accesses] == [(5, "a1"), (15, "a2"), (25, "a3"), (50, "a4")]
     assert scn.accesses[3].op == "write"
+
+
+def test_scripted_expansion_is_capped(monkeypatch):
+    base = minimal(
+        services=[{"id": "s1"}],
+        containers=[{"id": "c", "strategy": "failover", "timeout": 5, "replicas": [{"host": "a", "service": "s1"}]}],
+        security={"subjects": [{"id": "u", "vos": []}], "objects": []},
+    )
+    invoke = {"client": "a", "container": "c", "request": "q", "start": 0, "period": 1}  # 100 ticks until 100
+    access = {"node": "a", "subject": "u", "object": "o", "op": "read", "at": 5}
+    telemetry = [{"node": "a", "source": "s", "metric": "m", "start": 0, "stop": 10, "value": 1}]
+
+    def with_counts(n_access, **more):
+        return dict(base, workload={"invocations": [invoke], "accesses": [dict(access, count=n_access)]}, **more)
+
+    monkeypatch.setattr(scenario, "MAX_EXPANDED_EVENTS", 120)
+    # the three kinds share one running total
+    scn = parse_scenario(with_counts(10, telemetry=telemetry))
+    assert (len(scn.invocations), len(scn.accesses), len(scn.telemetry)) == (100, 10, 10)
+    assert err(with_counts(11, telemetry=telemetry)).path == "telemetry[0]"
+    e = err(with_counts(21))
+    assert e.path == "workload.accesses[0].count" and "121" in e.message
+    monkeypatch.undo()
+
+    # sizes are computed before anything is built
+    assert err(with_counts(10**9)).path == "workload.accesses[0].count"
+    assert err(dict(base, until=10**30, workload={"invocations": [invoke]})).path == "workload.invocations[0]"
+    huge = [dict(telemetry[0], stop=10**30)]
+    assert err(dict(base, telemetry=huge)).path == "telemetry[0]"
 
 
 def test_workload_unknown_references():

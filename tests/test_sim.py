@@ -148,6 +148,23 @@ def test_recover_bumps_epoch_and_calls_handler():
     assert timer_fires == []
 
 
+def test_recover_handler_exception_becomes_module_error():
+    def boom(s, d):
+        raise RuntimeError("recovery bug")
+
+    sim = Simulator(["a", "b"], NetworkModel(), seed=1, directive_handler=boom)
+    got = attach_collector(sim, "b")
+    sim.inject_fault(Crash("a", at=1))
+    sim.inject_fault(Recover("a", at=4))
+    sim.set_timer("b", 6, "after")
+    sim.run_until(10)  # the loop runs on past the failed handler
+    assert sim.nodes["a"].up
+    assert got == [("timer", 6, "after", None)]
+    errors = [e for e in sim.trace.entries if e["kind"] == "module_error"]
+    assert [(e["t"], e["node"]) for e in errors] == [(4, None)]
+    assert "recovery bug" in errors[0]["detail"]["error"]
+
+
 def test_timer_after_recovery_fires():
     sim = Simulator(["a"], NetworkModel(), seed=1, directive_handler=lambda s, d: s.set_timer("a", 3, "fresh"))
     got = attach_collector(sim, "a")
