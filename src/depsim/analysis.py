@@ -11,8 +11,11 @@ flagged before the fault next time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 SimTime = int
@@ -154,18 +157,136 @@ def _hits(samples: tuple[tuple[int, float], ...], step: Union[Threshold, Trend])
                 yield i
 
 
-def _sequence_hit(windows_by_metric: dict[str, tuple[tuple[int, float], ...]], pred: Sequence) -> bool:
-    """Greedy earliest-chain search: each step must fire strictly after
-    the previous one, the whole chain within span ticks."""
-    chain: list[int] = []
-    for step in pred.steps:
-        samples = windows_by_metric.get(step.metric, ())
-        times = (samples[i][0] for i in _hits(samples, step))
-        nxt = next((t for t in times if not chain or t > chain[-1]), None)
-        if nxt is None:
-            return False
-        chain.append(nxt)
-    return chain[-1] - chain[0] <= pred.span
+# A window as the engine keeps it, or as compare is given it.
+Window = Union[deque[tuple[int, float]], tuple[tuple[int, float], ...]]
+
+
+def _width(step: Union[Threshold, Trend]) -> int:
+    """How many samples, the newest included, decide the step."""
+    return step.min_consecutive if isinstance(step, Threshold) else step.k
+
+
+def _tail(samples: Window, m: int) -> tuple[tuple[int, float], ...]:
+    """The last m samples of a tuple or deque, oldest first."""
+    return tuple(islice(reversed(samples), m))[::-1]
+
+
+class _HitRecord:
+    """The samples of one window at which one step holds.
+
+    A window's samples are numbered in the order they were appended, so
+    the newest has number ``total - 1``. ``hits`` holds (number, time)
+    of each hit, oldest first; ``judged`` is how many samples have been
+    judged. Whether a step holds at a sample depends only on that sample
+    and the ``w - 1`` before it, so a verdict stands until one of those
+    predecessors leaves the window: the window's own prefix scan then no
+    longer counts the sample, and neither does the record.
+    """
+
+    __slots__ = ("hits", "judged")
+
+    def __init__(self) -> None:
+        self.hits: deque[tuple[int, int]] = deque()
+        self.judged = 0
+
+    def update(self, samples: Window, total: int, step: Union[Threshold, Trend]) -> deque[tuple[int, int]]:
+        """Judge the samples appended since the last update and return
+        the hits. A new record judges the whole window."""
+        hits = self.hits
+        new = total - self.judged
+        if new:
+            self.judged = total
+            w = _width(step)
+            n = len(samples)
+            fresh = min(new, n)
+            floor = total - n + w - 1
+            while hits and hits[0][0] < floor:
+                hits.popleft()
+            # The fresh samples, after the w - 1 that decide the first.
+            tail = _tail(samples, fresh + w - 1)
+            first, skip = total - len(tail), len(tail) - fresh
+            for i in _hits(tail, step):
+                if i >= skip:
+                    hits.append((first + i, tail[i][0]))
+        return hits
+
+
+_hit_time = itemgetter(1)
+
+
+class _Matcher:
+    """Matches a pattern library against windows that grow at the right.
+
+    ``by_source`` maps each source to its windows by metric, in the
+    order the windows were added; ``totals`` counts the samples ever
+    appended to each (source, metric) window; ``records`` keeps one
+    ``_HitRecord`` per (source, step).
+    """
+
+    __slots__ = ("by_source", "totals", "records")
+
+    def __init__(self) -> None:
+        self.by_source: dict[str, dict[str, Window]] = {}
+        self.totals: dict[tuple[str, str], int] = {}
+        self.records: dict[tuple[str, Union[Threshold, Trend]], _HitRecord] = {}
+
+    def add_window(self, key: tuple[str, str], samples: Window) -> None:
+        source, metric = key
+        self.by_source.setdefault(source, {})[metric] = samples
+        self.totals[key] = len(samples)
+
+    def _step_hits(self, source: str, samples: Window, step: Union[Threshold, Trend]) -> deque[tuple[int, int]]:
+        record = self.records.get((source, step))
+        if record is None:
+            record = self.records[(source, step)] = _HitRecord()
+        return record.update(samples, self.totals[(source, step.metric)], step)
+
+    def match(self, library: Iterable[Pattern], now: SimTime) -> list[Diagnosis]:
+        """A threshold or trend matches when it holds at the newest
+        sample. A sequence chains, step by step, the earliest hit
+        strictly after the previous link, and matches when every step
+        has one and the chain fits in ``span`` ticks."""
+        grouped: dict[tuple[str, str], dict] = {}
+        for pattern in library:
+            pred = pattern.predicate
+            steps = pred.steps if isinstance(pred, Sequence) else None
+            # The evidence is the samples a step read, or the last four of
+            # a sequence's last metric.
+            if steps is not None:
+                first_metric, last_metric, excerpt = steps[0].metric, steps[-1].metric, 4
+            else:
+                first_metric = last_metric = pred.metric
+                excerpt = _width(pred)
+            for source, metrics in self.by_source.items():
+                samples = metrics.get(first_metric)
+                if samples is None:
+                    continue
+                if steps is not None:
+                    chain: list[int] = []
+                    for step in steps:
+                        samples = metrics.get(step.metric)
+                        if samples is None:
+                            break
+                        hits = self._step_hits(source, samples, step)
+                        i = bisect_right(hits, chain[-1], key=_hit_time) if chain else 0
+                        if i == len(hits):
+                            break
+                        chain.append(hits[i][1])
+                    hit = len(chain) == len(steps) and chain[-1] - chain[0] <= pred.span
+                else:
+                    hits = self._step_hits(source, samples, pred)
+                    hit = bool(hits) and hits[-1][0] == self.totals[(source, pred.metric)] - 1
+                if not hit:
+                    continue
+                key = (source, pattern.fault_class)
+                slot = grouped.setdefault(key, {"confidence": 0.0, "evidence": []})
+                slot["confidence"] = max(slot["confidence"], pattern.confidence)
+                slot["evidence"].append((pattern.pattern_id, _tail(metrics[last_metric], excerpt)))
+
+        return [
+            Diagnosis(subject=source, fault_class=fc, confidence=slot["confidence"], at=now, evidence=tuple(slot["evidence"]))
+            for (source, fc), slot in grouped.items()
+        ]
 
 
 def compare(
@@ -178,35 +299,13 @@ def compare(
     ``windows`` maps (source, metric) to samples ordered by time. At
     most one diagnosis per (subject, fault_class): confidence is the max
     over matching patterns, evidence collects each matching pattern with
-    a short excerpt of the samples it matched on.
+    a short excerpt of the samples it matched on. This is the matcher
+    ``AnalysisEngine.poll`` keeps between polls, run on fresh records.
     """
-    by_source: dict[str, dict[str, tuple[tuple[int, float], ...]]] = {}
-    for (source, metric), samples in windows.items():
-        by_source.setdefault(source, {})[metric] = samples
-
-    grouped: dict[tuple[str, str], dict] = {}
-    for pattern in library:
-        pred = pattern.predicate
-        for source, metrics in by_source.items():
-            if isinstance(pred, Sequence):
-                hit = _sequence_hit(metrics, pred)
-                excerpt = metrics.get(pred.steps[-1].metric, ())[-4:]
-            else:
-                # A single step holds now when it holds at the last sample.
-                w = pred.min_consecutive if isinstance(pred, Threshold) else pred.k
-                excerpt = metrics.get(pred.metric, ())[-w:]
-                hit = len(excerpt) == w and w - 1 in _hits(excerpt, pred)
-            if not hit:
-                continue
-            key = (source, pattern.fault_class)
-            slot = grouped.setdefault(key, {"confidence": 0.0, "evidence": []})
-            slot["confidence"] = max(slot["confidence"], pattern.confidence)
-            slot["evidence"].append((pattern.pattern_id, tuple(excerpt)))
-
-    return [
-        Diagnosis(subject=source, fault_class=fc, confidence=slot["confidence"], at=now, evidence=tuple(slot["evidence"]))
-        for (source, fc), slot in grouped.items()
-    ]
+    matcher = _Matcher()
+    for key, samples in windows.items():
+        matcher.add_window(key, samples)
+    return matcher.match(library, now)
 
 
 def forecast_ma(
@@ -279,6 +378,7 @@ class AnalysisEngine:
         self._learned_keys: set[tuple[str, float, str]] = set()
         self._active: set[tuple[str, str]] = set()
         self._learn_seq = 0
+        self._matcher = _Matcher()
         # A window or the library changed since the last poll.
         self._changed = True
 
@@ -294,24 +394,26 @@ class AnalysisEngine:
         if window is None:
             window = deque(maxlen=self.params.capacity)
             self.windows[key] = window
+            self._matcher.add_window(key, window)
         window.append((record.at, record.value))
+        self._matcher.totals[key] += 1
         self._changed = True
         return True
 
-    def snapshot(self) -> dict[tuple[str, str], tuple[tuple[int, float], ...]]:
-        return {key: tuple(window) for key, window in self.windows.items()}
-
     def poll(self, now: SimTime) -> list[Diagnosis]:
-        """Run compare and return only newly matching diagnoses.
+        """Match the library against the windows, as compare would, and
+        return only newly matching diagnoses.
 
-        compare reads only the windows and the library (``now`` only
+        The matcher keeps its hit records between polls, so a poll
+        judges only the samples that arrived since the last one. A
+        match reads only the windows and the library (``now`` only
         stamps its diagnoses), so while neither changed it would match
         exactly what is already active, and nothing is fresh.
         """
         if not self._changed:
             return []
         self._changed = False
-        current = compare(self.snapshot(), self.library, now)
+        current = self._matcher.match(self.library, now)
         fresh = [d for d in current if (d.subject, d.fault_class) not in self._active]
         self._active = {(d.subject, d.fault_class) for d in current}
         return fresh

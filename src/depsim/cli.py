@@ -3,8 +3,8 @@
 ``depsim run`` executes a scenario file and optionally writes the JSONL
 trace and a JSON metrics report; ``depsim verify`` replays the
 invariant checks over a previously written trace. Exit codes: 0 on
-success, 2 for an unusable scenario or trace file, 3 when verification
-finds violations.
+success, 2 for an unusable scenario, trace file, ``--until`` or output
+path, 3 when verification finds violations.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .metrics import compute_metrics
 from .run import SimulationRun
@@ -56,7 +57,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     if args.until is not None:
+        if args.until < 1:
+            print(f"scenario error: --until: must be >= 1, got {args.until}", file=sys.stderr)
+            return 2
         scenario = replace(scenario, until=args.until)
+    for flag, path in (("--trace-out", args.trace_out), ("--metrics-out", args.metrics_out)):
+        if path is not None and not Path(path).resolve().parent.is_dir():
+            print(f"output error: {flag}: no directory for {path}", file=sys.stderr)
+            return 2
 
     run = SimulationRun(scenario).run()
     entries = run.trace

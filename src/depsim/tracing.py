@@ -35,26 +35,37 @@ class TraceRecorder:
         self._seq += 1
 
 
+# One encoder for every entry: json.dumps with separators builds a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def dump_jsonl(entries: Iterable[dict[str, Any]], path: str) -> None:
+    encode = _ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(encode(entry) + "\n" for entry in entries)
 
 
 def dumps_jsonl(entries: Iterable[dict[str, Any]]) -> str:
-    return "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in entries)
+    encode = _ENCODER.encode
+    return "".join(encode(e) + "\n" for e in entries)
 
 
 def load_jsonl(path: str) -> list[dict[str, Any]]:
     """Read a JSONL trace. Every entry must have the fixed shape and, for
     its kind, the detail fields the verifier reads."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape turns each byte that is not UTF-8 into a lone
+    # surrogate, so the bad line can be named instead of the read failing.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise MalformedTrace(f"line {lineno}: not valid UTF-8") from exc
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:

@@ -327,14 +327,14 @@ def test_ingest_drops_out_of_order_per_source():
     assert not eng.ingest(rec("a", "m", 2, at=9))  # stale for source a
     assert eng.ingest(rec("b", "m", 3, at=5))  # other sources unaffected
     assert eng.ingest(rec("a", "m", 4, at=10))  # equal time allowed
-    assert eng.snapshot()[("a", "m")] == ((10, 1.0), (10, 4.0))
+    assert tuple(eng.windows[("a", "m")]) == ((10, 1.0), (10, 4.0))
 
 
 def test_window_capacity_bound():
     eng = AnalysisEngine(AnalysisParams(capacity=3))
     for i in range(10):
         eng.ingest(rec("a", "m", i, at=i))
-    assert eng.snapshot()[("a", "m")] == ((7, 7.0), (8, 8.0), (9, 9.0))
+    assert tuple(eng.windows[("a", "m")]) == ((7, 7.0), (8, 8.0), (9, 9.0))
 
 
 def test_poll_edge_triggers():
@@ -414,3 +414,60 @@ def test_learned_pattern_fires_on_replay():
     replay.ingest(rec("svc", "m", 99.0, at=3))
     got = replay.poll(4)
     assert len(got) == 1 and got[0].fault_class == "ServiceCrash"
+
+
+@st.composite
+def engine_runs(draw):
+    """A small window capacity, so samples leave the window, and a
+    stream of ingests (a negative step in time is an out-of-order
+    record the engine drops; a zero step repeats a timestamp), polls and
+    patterns added between polls."""
+    capacity = draw(st.integers(2, 6))
+    library = draw(st.lists(predicates, min_size=1, max_size=3))
+    ingests = st.tuples(st.just("ingest"), st.sampled_from(("a", "b")), st.sampled_from(METRICS), st.integers(-1, 3), st.integers(0, 4))
+    polls = st.tuples(st.just("poll"))
+    ops = st.one_of(ingests, ingests, polls, polls, st.tuples(st.just("add"), predicates))
+    return capacity, library, draw(st.lists(ops, min_size=20, max_size=40))
+
+
+@settings(max_examples=150)
+@given(engine_runs())
+@example(  # a hit counts while its sample and the w - 1 before it are in the window, and no longer
+    run=(2, [Sequence((Threshold("cpu", ">", 1.0), Threshold("err", ">", 1.0)), span=10)], [
+        ("ingest", "a", "cpu", 1, 4), ("poll",), ("ingest", "a", "cpu", 1, 0), ("poll",), ("ingest", "a", "err", 1, 4), ("poll",),
+        ("ingest", "b", "cpu", 1, 4), ("poll",), ("ingest", "b", "cpu", 1, 0), ("ingest", "b", "cpu", 1, 0), ("poll",),
+        ("ingest", "b", "err", 1, 4), ("poll",),
+    ]),
+)
+@example(  # a pattern added later judges the whole window, not only the newest sample
+    run=(4, [], [
+        ("ingest", "a", "cpu", 1, 4), ("ingest", "a", "cpu", 1, 0), ("ingest", "a", "err", 1, 4), ("poll",),
+        ("add", Sequence((Threshold("cpu", ">", 1.0), Threshold("err", ">", 1.0)), span=10)), ("poll",),
+    ]),
+)
+def test_engine_polls_match_reference_over_current_windows(run):
+    """Every poll of the incremental engine equals the prefix-rescan
+    reference over the windows as they stand, under the same edge trigger."""
+    capacity, preds, ops = run
+    library = [Pattern(f"p{i}", f"F{i % 2}", pred) for i, pred in enumerate(preds)]
+    eng = AnalysisEngine(AnalysisParams(capacity=capacity), library)
+    windows, clock, active = {}, {}, set()
+    for now, op in enumerate(ops):
+        if op[0] == "ingest":
+            _, source, metric, step, value = op
+            at = clock.get(source, 0) + step
+            accepted = step >= 0 or source not in clock
+            assert eng.ingest(rec(source, metric, value, at)) is accepted
+            if accepted:
+                clock[source] = at
+                windows[(source, metric)] = (windows.get((source, metric), ()) + ((at, float(value)),))[-capacity:]
+        elif op[0] == "add":
+            pattern = Pattern(f"p{len(library)}", f"F{len(library) % 2}", op[1])
+            library.append(pattern)
+            eng.add_pattern(pattern)
+        else:
+            current = ref_compare(windows, library, now)
+            expect = [d for d in current if (d.subject, d.fault_class) not in active]
+            active = {(d.subject, d.fault_class) for d in current}
+            assert eng.poll(now) == expect
+    assert {key: tuple(w) for key, w in eng.windows.items()} == windows

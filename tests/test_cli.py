@@ -107,6 +107,23 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     assert "scenario error" in err and "until" in err
 
 
+@pytest.mark.parametrize("until", ["0", "-1"])
+def test_run_rejects_until_below_one(scenario_file, tmp_path, capsys, until):
+    trace_path = tmp_path / "out.jsonl"
+    assert main(["run", "--scenario", scenario_file, "--until", until, "--trace-out", str(trace_path)]) == 2
+    assert capsys.readouterr().err == f"scenario error: --until: must be >= 1, got {until}\n"
+    assert not trace_path.exists()  # rejected before the run
+
+
+@pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out"])
+def test_run_rejects_output_in_missing_directory(scenario_file, tmp_path, capsys, flag):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["run", "--scenario", scenario_file, flag, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no summary line: nothing was simulated
+    assert captured.err == f"output error: {flag}: no directory for {out}\n"
+
+
 def test_run_rejects_missing_file(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.yaml")]) == 2
 
@@ -146,11 +163,12 @@ def test_verify_rejects_garbage_trace(tmp_path, capsys):
         ({"t": 3, "seq": 0, "kind": "suspect", "node": "a", "detail": {"gap": 40}}, "suspect entry needs detail.peer"),
         ({"t": 3, "seq": 0, "kind": "deliver", "node": "b", "detail": {"msg_id": [1]}}, "deliver entry needs detail.msg_id"),
         ({"t": 3, "seq": 0, "kind": "alert_operator", "node": "a", "detail": {"plan": {}}}, "alert_operator entry needs detail.plan"),
+        (b"\xff\xfe{}\n", "not valid UTF-8"),
     ],
 )
 def test_verify_rejects_malformed_entry(tmp_path, capsys, entry, problem):
     trace_path = tmp_path / "bad.jsonl"
-    trace_path.write_text(json.dumps(entry) + "\n")
+    trace_path.write_bytes(entry if isinstance(entry, bytes) else (json.dumps(entry) + "\n").encode())
     assert main(["verify", "--trace", str(trace_path)]) == 2
     assert f"trace error: line 1: {problem}" in capsys.readouterr().err
 

@@ -1,10 +1,16 @@
 """Scenario parsing: defaults, expansion of periodic workload and
 telemetry shorthand, and the error paths with their field locations."""
 
+import copy
 import json
 import textwrap
+from pathlib import Path
+from unittest import mock
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depsim import scenario
 from depsim.scenario import ScenarioError, load_scenario, parse_scenario
@@ -423,3 +429,57 @@ def test_load_reports_yaml_syntax_error(tmp_path):
 def test_scenario_error_message_carries_path():
     e = err(minimal(until="soon"))
     assert str(e).startswith("scenario.until:")
+
+
+# --- mutated scenarios ------------------------------------------------------------------------
+
+BUNDLED = {p.stem: yaml.safe_load(p.read_text()) for p in sorted(Path(__file__).resolve().parent.parent.glob("scenarios/*.yaml"))}
+
+
+def _paths(node, prefix=()):
+    """Every key path into a parsed scenario document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+ODD_VALUES = st.one_of(
+    st.sampled_from([None, True, "", "x", [], {}, [None], {"": None}, 0, -1, 1, 10**9, 10**30, -(10**30), 0.5, -0.5,
+                     float("inf"), float("-inf"), float("nan"), 1e308]),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario document with one to three fields replaced by
+    an odd value, deleted, or a list entry duplicated."""
+    data = copy.deepcopy(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        *head, last = path
+        parent = data
+        for key in head:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "delete":
+            del parent[last]
+        elif action == "duplicate" and isinstance(parent, list):
+            parent.insert(last, copy.deepcopy(parent[last]))
+        else:
+            parent[last] = draw(ODD_VALUES)
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_scenarios())
+def test_mutated_scenarios_raise_only_scenario_error(data):
+    # A small expansion cap keeps a mutated count or period cheap to reject.
+    with mock.patch.object(scenario, "MAX_EXPANDED_EVENTS", 5_000):
+        try:
+            parse_scenario(data)
+        except ScenarioError:
+            pass

@@ -2,6 +2,8 @@
 by the right check."""
 
 from conftest import base_scenario, run
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depsim.verify import verify_trace
 
@@ -255,3 +257,46 @@ def test_live_lossy_run_is_clean_too():
     scn = base_scenario(network={"base_latency": 2, "jitter": 3, "loss": 0.2})
     r = run(scn, seed=11)
     assert verify_trace(r.trace, base_latency=2, topology=scn.topology) == []
+
+
+@st.composite
+def random_runs(draw):
+    """A tree of one to three clusters of one to three nodes, a failover
+    container on the first cluster, and a random schedule of crashes,
+    recoveries, loss changes and partitions."""
+    n_clusters = draw(st.integers(1, 3))
+    clusters, nodes = [], []
+    for c in range(n_clusters):
+        members = [f"n{c}{i}" for i in range(draw(st.integers(1, 3)))]
+        parent = None if c == 0 else f"c{draw(st.integers(0, c - 1))}"
+        clusters.append({"id": f"c{c}", "nodes": members, "parent": parent})
+        nodes += members
+    until = 300
+    times = st.integers(0, until - 1)
+    crashes = st.fixed_dictionaries({"kind": st.sampled_from(["crash", "recover"]), "node": st.sampled_from(nodes), "at": times})
+    losses = st.fixed_dictionaries({"kind": st.just("set_loss"), "probability": st.sampled_from([0.0, 0.1, 0.3, 0.6]), "at": times})
+    faults = draw(st.lists(st.one_of(crashes, losses), max_size=6))
+    if len(nodes) > 1:
+        side = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=len(nodes) - 1, unique=True))
+        start = draw(times)
+        stop = draw(st.integers(start + 1, until))
+        faults.append({"kind": "partition", "a": side, "b": [n for n in nodes if n not in side], "start": start, "stop": stop})
+    hosts = clusters[0]["nodes"]
+    return base_scenario(
+        until=until,
+        network={"base_latency": draw(st.integers(1, 3)), "jitter": draw(st.integers(0, 2)), "loss": 0.0},
+        clusters=clusters,
+        detector={"gossip_interval": 5, "t_min": 15, "t_bootstrap": 50, "t_cleanup": 100, "summary_interval": 10},
+        containers=[{"id": "store", "strategy": "failover", "timeout": 10,
+                     "replicas": [{"host": h, "service": f"kv{i + 1}"} for i, h in enumerate(hosts)]}],
+        workload={"invocations": [{"client": nodes[-1], "container": "store", "request": "get", "start": 10, "period": 25}]},
+        faults=faults,
+    ), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_runs())
+def test_random_topologies_and_fault_schedules_verify_clean(case):
+    scn, seed = case
+    trace = run(scn, seed=seed).trace
+    assert verify_trace(trace, base_latency=scn.base_latency, topology=scn.topology) == []
