@@ -62,6 +62,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         scenario = replace(scenario, until=args.until)
     for flag, path in (("--trace-out", args.trace_out), ("--metrics-out", args.metrics_out)):
+        if path is not None and Path(path).is_dir():
+            print(f"output error: {flag}: {path} is a directory", file=sys.stderr)
+            return 2
         if path is not None and not Path(path).resolve().parent.is_dir():
             print(f"output error: {flag}: no directory for {path}", file=sys.stderr)
             return 2

@@ -112,11 +112,9 @@ class ContainerState:
         self.replicas: list[Replica] = list(spec.replicas)
         self.degraded: set[str] = set()
 
-    def add_replica(self, replica: Replica) -> bool:
-        if replica in self.replicas:
-            return False
-        self.replicas.append(replica)
-        return True
+    def add_replica(self, replica: Replica) -> None:
+        if replica not in self.replicas:
+            self.replicas.append(replica)
 
 
 @dataclass(frozen=True)
@@ -184,12 +182,8 @@ class ContainerRegistry:
         state.degraded.add(host)
         return True
 
-    def clear_degraded(self, host: str) -> list[str]:
+    def clear_degraded(self, host: str) -> None:
         """Membership refuted suspicion of ``host``: re-include it
-        everywhere. Returns container ids that changed."""
-        changed = []
-        for cid, state in self.containers.items():
-            if host in state.degraded:
-                state.degraded.discard(host)
-                changed.append(cid)
-        return changed
+        everywhere."""
+        for state in self.containers.values():
+            state.degraded.discard(host)

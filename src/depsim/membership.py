@@ -447,16 +447,12 @@ class Detector:
         batch = SummaryBatch(self.owner, tuple(self.latest[c] for c in sorted(self.latest)))
         return summary, [(t, batch) for t in self.tree_targets()]
 
-    def apply_summaries(self, batch: SummaryBatch) -> list[ClusterSummary]:
-        """Keep the freshest summary per origin cluster. Returns the
-        summaries that actually updated our store."""
-        applied: list[ClusterSummary] = []
+    def apply_summaries(self, batch: SummaryBatch) -> None:
+        """Keep the freshest summary per origin cluster."""
         for s in batch.summaries:
             cur = self.latest.get(s.cluster)
             if cur is None or (s.epoch, s.rep) > (cur.epoch, cur.rep):
                 self.latest[s.cluster] = s
-                applied.append(s)
-        return applied
 
     def global_suspected(self) -> set[str]:
         """Union of suspected nodes across all summaries we hold, plus

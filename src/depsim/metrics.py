@@ -12,43 +12,38 @@ from __future__ import annotations
 from .scenario import Scenario
 
 
-def _crash_windows(entries: list[dict]) -> dict[str, list[tuple[int, int | None]]]:
-    windows: dict[str, list[tuple[int, int | None]]] = {}
-    for e in entries:
-        if e["kind"] == "crash":
-            windows.setdefault(e["node"], []).append((e["t"], None))
-        elif e["kind"] == "recover":
-            spans = windows.get(e["node"])
-            if spans and spans[-1][1] is None:
-                spans[-1] = (spans[-1][0], e["t"])
-    return windows
+def _holds(rec: dict, t: int) -> bool:
+    """Whether ``t`` falls in the crash record's window [at, recovered_at)."""
+    stop = rec["recovered_at"]
+    return rec["at"] <= t and (stop is None or t < stop)
 
 
-def _down_at(windows: dict[str, list[tuple[int, int | None]]], node: str, t: int) -> bool:
-    for start, stop in windows.get(node, ()):
-        if start <= t and (stop is None or t < stop):
-            return True
-    return False
+def _down_at(crashes: list[dict], node: str, t: int) -> dict | None:
+    """The newest crash record of ``node`` whose window holds ``t``, or
+    None when ``node`` was up at ``t``."""
+    for rec in reversed(crashes):
+        if rec["node"] == node and _holds(rec, t):
+            return rec
+    return None
 
 
 def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmup: int | None = None) -> dict:
     if warmup is None:
         warmup = scenario.detector.t_bootstrap if scenario is not None else 0
-    windows = _crash_windows(entries)
     topology = scenario.topology if scenario is not None else None
 
     counts: dict[str, int] = {}
     drops: dict[str, int] = {}
-    susp_total = susp_true = susp_false = susp_false_late = 0
-    refutes = rejoins = removals = 0
+    rejoins = 0
     inv_outcomes: dict[str, int] = {}
     latencies: list[int] = []
     plans_ok = plans_failed = 0
-    notices_origin = notices_applied = notice_dups = notices_incomplete = 0
+    notices_origin = notices_applied = 0
     audits_allow = audits_deny = 0
     crashes: list[dict] = []
     suspects_by_peer: dict[str, list[tuple[int, str]]] = {}
     views_by_peer: dict[str, list[int]] = {}
+    removes: list[tuple[int, str]] = []
 
     for e in entries:
         kind = e["kind"]
@@ -77,21 +72,12 @@ def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmu
                     rec["recovered_at"] = e["t"]
                     break
         elif kind == "suspect":
-            susp_total += 1
-            peer = detail["peer"]
-            suspects_by_peer.setdefault(peer, []).append((e["t"], e["node"]))
-            if _down_at(windows, peer, e["t"]):
-                susp_true += 1
-            else:
-                susp_false += 1
-                if e["t"] > warmup:
-                    susp_false_late += 1
+            suspects_by_peer.setdefault(detail["peer"], []).append((e["t"], e["node"]))
         elif kind == "refute":
-            refutes += 1
             if detail.get("rejoin"):
                 rejoins += 1
         elif kind == "remove":
-            removals += 1
+            removes.append((e["t"], detail["peer"]))
         elif kind == "global_view":
             views_by_peer.setdefault(detail["peer"], []).append(e["t"])
         elif kind == "invoke_done":
@@ -109,27 +95,33 @@ def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmu
                 notices_origin += 1
             else:
                 notices_applied += 1
-        elif kind == "notice_dup":
-            notice_dups += 1
-        elif kind == "propagation_incomplete":
-            notices_incomplete += 1
         elif kind == "audit":
             if detail["decision"] == "allow":
                 audits_allow += 1
             else:
                 audits_deny += 1
 
+    # Settled against the final crash records: a crash or recover entry
+    # may follow a suspect or remove entry of the same tick.
+    susp_total = counts.get("suspect", 0)
+    susp_true = susp_false_late = 0
+    for peer, seen in suspects_by_peer.items():
+        for t, _ in seen:
+            if _down_at(crashes, peer, t):
+                susp_true += 1
+            elif t > warmup:
+                susp_false_late += 1
+    for t, peer in removes:
+        rec = _down_at(crashes, peer, t)
+        if rec is not None:
+            rec["removed_by"] += 1
+
     for rec in crashes:
-        stop = rec["recovered_at"]
-        in_window = [
-            (t, node)
-            for t, node in suspects_by_peer.get(rec["node"], ())
-            if rec["at"] <= t and (stop is None or t < stop)
-        ]
+        in_window = [(t, node) for t, node in suspects_by_peer.get(rec["node"], ()) if _holds(rec, t)]
         if in_window:
             rec["first_suspect_at"] = min(t for t, _ in in_window)
         for t in views_by_peer.get(rec["node"], ()):
-            if rec["at"] <= t and (stop is None or t < stop):
+            if _holds(rec, t):
                 rec["global_view_at"] = t
                 break
         if topology is not None:
@@ -141,21 +133,8 @@ def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmu
             rec["members_silent"] = sorted(
                 m
                 for m in members
-                if m != rec["node"] and m not in suspectors and not _down_at(windows, m, rec["at"])
+                if m != rec["node"] and m not in suspectors and not _down_at(crashes, m, rec["at"])
             )
-        rec["removed_by"] = 0
-
-    if crashes:
-        # removals attributed in a second pass so the per-crash dicts exist
-        for e in entries:
-            if e["kind"] != "remove":
-                continue
-            peer = e["detail"]["peer"]
-            for rec in reversed(crashes):
-                stop = rec["recovered_at"]
-                if rec["node"] == peer and rec["at"] <= e["t"] and (stop is None or e["t"] < stop):
-                    rec["removed_by"] += 1
-                    break
 
     return {
         "scenario": scenario.name if scenario is not None else None,
@@ -169,12 +148,12 @@ def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmu
         "suspicions": {
             "total": susp_total,
             "true": susp_true,
-            "false": susp_false,
+            "false": susp_total - susp_true,
             "false_after_warmup": susp_false_late,
             "warmup": warmup,
-            "refutes": refutes,
+            "refutes": counts.get("refute", 0),
             "rejoins": rejoins,
-            "removals": removals,
+            "removals": len(removes),
         },
         "crashes": crashes,
         "invocations": {
@@ -200,8 +179,8 @@ def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmu
         "notices": {
             "created": notices_origin,
             "applied": notices_applied,
-            "dups": notice_dups,
-            "incomplete": notices_incomplete,
+            "dups": counts.get("notice_dup", 0),
+            "incomplete": counts.get("propagation_incomplete", 0),
         },
         "access": {
             "requests": counts.get("access", 0),

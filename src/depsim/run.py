@@ -33,14 +33,9 @@ class SimulationRun:
             self.sim.attach(node, rt.on_message, rt.on_timer)
             rt.start(0)
             self.runtimes[node] = rt
-        for ev in scenario.invocations:
-            self.sim.schedule_directive(ev.at, ev)
-        for ev in scenario.accesses:
-            self.sim.schedule_directive(ev.at, ev)
-        for ev in scenario.policy_updates:
-            self.sim.schedule_directive(ev.at, ev)
-        for ev in scenario.telemetry:
-            self.sim.schedule_directive(ev.at, ev)
+        for events in (scenario.invocations, scenario.accesses, scenario.policy_updates, scenario.telemetry):
+            for ev in events:
+                self.sim.schedule_directive(ev.at, ev)
         for fault in scenario.faults:
             self.sim.inject_fault(fault)
 

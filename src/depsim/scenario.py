@@ -12,6 +12,7 @@ the simulation starts, with an error a human can act on.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -241,6 +242,40 @@ def _choice(data: dict, path: str, key: str, allowed: tuple, default=_MISSING) -
     return v
 
 
+def _ref(data: dict, path: str, key: str, known, what: str) -> str:
+    """A string field that must name a known node, service or container."""
+    v = _str(data, path, key)
+    if v not in known:
+        _fail(f"{path}.{key}", f"unknown {what} {v!r}")
+    return v
+
+
+def _new_id(data: dict, path: str, taken, what: str, default=_MISSING) -> str:
+    """The entry's ``id``, which no earlier entry of its section may have."""
+    v = _str(data, path, "id", default)
+    if v in taken:
+        _fail(f"{path}.id", f"duplicate {what} id {v!r}")
+    return v
+
+
+def _span(data: dict, path: str) -> tuple[int, int]:
+    """A ``start``/``stop`` pair with start < stop."""
+    start = _int(data, path, "start", minimum=0)
+    stop = _int(data, path, "stop", minimum=1)
+    if stop <= start:
+        _fail(f"{path}.stop", f"must be > start ({start}), got {stop}")
+    return start, stop
+
+
+@contextmanager
+def _checked(path: str):
+    """Report a component's own validation error (a ValueError) at ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
 # --- section parsers -------------------------------------------------------------
 
 
@@ -252,26 +287,19 @@ def _parse_topology(data: dict) -> ClusterTopology:
         _fail("scenario.clusters", "at least one cluster is required")
     for i, c in enumerate(items):
         path = f"clusters[{i}]"
-        cid = _str(c, path, "id")
-        if cid in clusters:
-            _fail(f"{path}.id", f"duplicate cluster id {cid!r}")
+        cid = _new_id(c, path, clusters, "cluster")
         nodes = _list(c, path, "nodes")
         if not nodes or not all(isinstance(n, str) and n for n in nodes):
             _fail(f"{path}.nodes", "expected a non-empty list of node ids")
-        p = _field(c, path, "parent", None)
-        if p is not None and (not isinstance(p, str) or not p):
-            _fail(f"{path}.parent", f"expected a cluster id or null, got {p!r}")
         clusters[cid] = tuple(nodes)
-        parent[cid] = p
-    try:
+        parent[cid] = _str(c, path, "parent", None)
+    with _checked("clusters"):
         return ClusterTopology(clusters, parent)
-    except ValueError as exc:
-        _fail("clusters", str(exc))
 
 
 def _parse_detector(data: dict) -> DetectorParams:
     d = _map(data, "scenario", "detector", {})
-    try:
+    with _checked("detector"):
         return DetectorParams(
             gossip_interval=_int(d, "detector", "gossip_interval", 10, minimum=1),
             fanout=_int(d, "detector", "fanout", 2, minimum=1),
@@ -283,20 +311,16 @@ def _parse_detector(data: dict) -> DetectorParams:
             t_cleanup=None if "t_cleanup" not in d else _int(d, "detector", "t_cleanup", minimum=1),
             summary_interval=_int(d, "detector", "summary_interval", 20, minimum=1),
         )
-    except ValueError as exc:
-        _fail("detector", str(exc))
 
 
 def _parse_analysis(data: dict) -> AnalysisParams:
     d = _map(data, "scenario", "analysis", {})
-    try:
+    with _checked("analysis"):
         return AnalysisParams(
             capacity=_int(d, "analysis", "capacity", 128, minimum=1),
             lookback=_int(d, "analysis", "lookback", 50, minimum=1),
             compare_interval=_int(d, "analysis", "compare_interval", 10, minimum=1),
         )
-    except ValueError as exc:
-        _fail("analysis", str(exc))
 
 
 def _parse_repair(data: dict, base_latency: int) -> RepairConfig:
@@ -336,9 +360,7 @@ def _parse_services(data: dict) -> dict[str, ServiceSpec]:
     out: dict[str, ServiceSpec] = {}
     for i, s in enumerate(_list(data, "scenario", "services", [])):
         path = f"services[{i}]"
-        sid = _str(s, path, "id")
-        if sid in out:
-            _fail(f"{path}.id", f"duplicate service id {sid!r}")
+        sid = _new_id(s, path, out, "service")
         table = _map(s, path, "table", {})
         for k, v in table.items():
             if not isinstance(k, str) or not isinstance(v, str):
@@ -358,40 +380,28 @@ def _parse_services(data: dict) -> dict[str, ServiceSpec]:
 def _parse_containers(
     data: dict, nodes: set[str], services: dict[str, ServiceSpec]
 ) -> tuple[ContainerSpec, ...]:
-    out: list[ContainerSpec] = []
-    seen: set[str] = set()
+    out: dict[str, ContainerSpec] = {}
     for i, c in enumerate(_list(data, "scenario", "containers", [])):
         path = f"containers[{i}]"
-        cid = _str(c, path, "id")
-        if cid in seen:
-            _fail(f"{path}.id", f"duplicate container id {cid!r}")
-        seen.add(cid)
+        cid = _new_id(c, path, out, "container")
         strategy = _choice(c, path, "strategy", ("failover", "active"))
         replicas: list[Replica] = []
         for j, r in enumerate(_list(c, path, "replicas")):
             rpath = f"{path}.replicas[{j}]"
-            host = _str(r, rpath, "host")
-            service = _str(r, rpath, "service")
-            if host not in nodes:
-                _fail(f"{rpath}.host", f"unknown node {host!r}")
-            if service not in services:
-                _fail(f"{rpath}.service", f"unknown service {service!r}")
+            host = _ref(r, rpath, "host", nodes, "node")
+            service = _ref(r, rpath, "service", services, "service")
             replicas.append(Replica(host, service))
         classes = {services[r.service_id].equivalence_class for r in replicas}
         if len(classes) > 1:
             _fail(f"{path}.replicas", f"replicas span several equivalence classes: {sorted(classes)}")
-        try:
-            out.append(
-                ContainerSpec(
-                    container_id=cid,
-                    strategy=Strategy(strategy),
-                    timeout=_int(c, path, "timeout", minimum=1),
-                    replicas=tuple(replicas),
-                )
+        with _checked(path):
+            out[cid] = ContainerSpec(
+                container_id=cid,
+                strategy=Strategy(strategy),
+                timeout=_int(c, path, "timeout", minimum=1),
+                replicas=tuple(replicas),
             )
-        except ValueError as exc:
-            _fail(path, str(exc))
-    return tuple(out)
+    return tuple(out.values())
 
 
 def _parse_alternatives(
@@ -401,15 +411,9 @@ def _parse_alternatives(
     out: list[Alternative] = []
     for i, a in enumerate(_list(data, "scenario", "alternatives", [])):
         path = f"alternatives[{i}]"
-        cid = _str(a, path, "container")
-        host = _str(a, path, "host")
-        service = _str(a, path, "service")
-        if cid not in by_id:
-            _fail(f"{path}.container", f"unknown container {cid!r}")
-        if host not in nodes:
-            _fail(f"{path}.host", f"unknown node {host!r}")
-        if service not in services:
-            _fail(f"{path}.service", f"unknown service {service!r}")
+        cid = _ref(a, path, "container", by_id, "container")
+        host = _ref(a, path, "host", nodes, "node")
+        service = _ref(a, path, "service", services, "service")
         have = services[by_id[cid].replicas[0].service_id].equivalence_class
         got = services[service].equivalence_class
         if got != have:
@@ -419,24 +423,20 @@ def _parse_alternatives(
 
 
 def _parse_jobs(data: dict) -> tuple[JobSpec, ...]:
-    out: list[JobSpec] = []
-    seen: set[str] = set()
+    out: dict[str, JobSpec] = {}
     for i, j in enumerate(_list(data, "scenario", "jobs", [])):
         path = f"jobs[{i}]"
-        jid = _str(j, path, "id")
-        if jid in seen:
-            _fail(f"{path}.id", f"duplicate job id {jid!r}")
-        seen.add(jid)
+        jid = _new_id(j, path, out, "job")
         ckpt = _field(j, path, "checkpoint", None)
         if ckpt is not None and not isinstance(ckpt, str):
             _fail(f"{path}.checkpoint", f"expected a string or null, got {ckpt!r}")
-        out.append(JobSpec(jid, ckpt))
-    return tuple(out)
+        out[jid] = JobSpec(jid, ckpt)
+    return tuple(out.values())
 
 
 def _parse_step(d: dict, path: str):
     kind = _choice(d, path, "type", ("threshold", "trend"))
-    try:
+    with _checked(path):
         if kind == "threshold":
             return Threshold(
                 metric=_str(d, path, "metric"),
@@ -450,49 +450,37 @@ def _parse_step(d: dict, path: str):
             cmp=_choice(d, path, "cmp", tuple(COMPARATORS)),
             slope_bound=_num(d, path, "slope_bound"),
         )
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
 def _parse_patterns(data: dict) -> tuple[Pattern, ...]:
-    out: list[Pattern] = []
-    seen: set[str] = set()
+    out: dict[str, Pattern] = {}
     for i, p in enumerate(_list(data, "scenario", "patterns", [])):
         path = f"patterns[{i}]"
-        pid = _str(p, path, "id", f"pattern-{i}")
-        if pid in seen:
-            _fail(f"{path}.id", f"duplicate pattern id {pid!r}")
-        seen.add(pid)
+        pid = _new_id(p, path, out, "pattern", f"pattern-{i}")
         pd = _map(p, path, "predicate")
         ppath = f"{path}.predicate"
         ptype = _choice(pd, ppath, "type", ("threshold", "trend", "sequence"))
         if ptype == "sequence":
             steps = [_parse_step(s, f"{ppath}.steps[{j}]") for j, s in enumerate(_list(pd, ppath, "steps"))]
-            try:
+            with _checked(ppath):
                 predicate = Sequence(steps=tuple(steps), span=_int(pd, ppath, "span", minimum=1))
-            except ValueError as exc:
-                _fail(ppath, str(exc))
         else:
             predicate = _parse_step(pd, ppath)
-        out.append(
-            Pattern(
-                pattern_id=pid,
-                fault_class=_str(p, path, "fault_class"),
-                predicate=predicate,
-                confidence=_num(p, path, "confidence", 0.5, lo=0.0, hi=1.0),
-                origin="predefined",
-            )
+        out[pid] = Pattern(
+            pattern_id=pid,
+            fault_class=_str(p, path, "fault_class"),
+            predicate=predicate,
+            confidence=_num(p, path, "confidence", 0.5, lo=0.0, hi=1.0),
+            origin="predefined",
         )
-    return tuple(out)
+    return tuple(out.values())
 
 
 def _parse_forecasts(data: dict) -> tuple[ForecastSpec, ...]:
     out: list[ForecastSpec] = []
     for i, f in enumerate(_list(data, "scenario", "forecasts", [])):
         path = f"forecasts[{i}]"
-        fault_class = _field(f, path, "fault_class", None)
-        if fault_class is not None and (not isinstance(fault_class, str) or not fault_class):
-            _fail(f"{path}.fault_class", f"expected a string or null, got {fault_class!r}")
+        fault_class = _str(f, path, "fault_class", None)
         out.append(
             ForecastSpec(
                 source=_str(f, path, "source"),
@@ -513,17 +501,10 @@ def _parse_behaviors(data: dict, nodes: set[str], services: dict[str, ServiceSpe
     out: list[BehaviorWindow] = []
     for i, b in enumerate(_list(data, "scenario", "behaviors", [])):
         path = f"behaviors[{i}]"
-        host = _str(b, path, "host")
-        service = _str(b, path, "service")
-        if host not in nodes:
-            _fail(f"{path}.host", f"unknown node {host!r}")
-        if service not in services:
-            _fail(f"{path}.service", f"unknown service {service!r}")
+        host = _ref(b, path, "host", nodes, "node")
+        service = _ref(b, path, "service", services, "service")
         kind = _choice(b, path, "kind", ("corrupt", "slow"))
-        start = _int(b, path, "start", minimum=0)
-        stop = _int(b, path, "stop", minimum=1)
-        if stop <= start:
-            _fail(f"{path}.stop", f"must be > start ({start}), got {stop}")
+        start, stop = _span(b, path)
         value = _field(b, path, "value", None)
         if value is not None and not isinstance(value, str):
             _fail(f"{path}.value", f"expected a string or null, got {value!r}")
@@ -539,9 +520,7 @@ def _parse_security(data: dict):
     subjects: dict[str, Subject] = {}
     for i, s in enumerate(_list(sec, "security", "subjects", [])):
         path = f"security.subjects[{i}]"
-        sid = _str(s, path, "id")
-        if sid in subjects:
-            _fail(f"{path}.id", f"duplicate subject id {sid!r}")
+        sid = _new_id(s, path, subjects, "subject")
         vos = _list(s, path, "vos", [])
         if not all(isinstance(v, str) and v for v in vos):
             _fail(f"{path}.vos", "expected a list of VO names")
@@ -549,9 +528,7 @@ def _parse_security(data: dict):
     objects: dict[str, ObjectEntry] = {}
     for i, o in enumerate(_list(sec, "security", "objects", [])):
         path = f"security.objects[{i}]"
-        oid = _str(o, path, "id")
-        if oid in objects:
-            _fail(f"{path}.id", f"duplicate object id {oid!r}")
+        oid = _new_id(o, path, objects, "object")
         objects[oid] = ObjectEntry(
             object_id=oid,
             owner=_str(o, path, "owner"),
@@ -569,7 +546,7 @@ def _parse_rule(r: dict, path: str) -> Rule:
     for op in ops:
         if op not in OPERATIONS:
             _fail(f"{path}.ops", f"unknown operation {op!r}")
-    try:
+    with _checked(path):
         return Rule(
             scope=_str(r, path, "scope"),
             subject=_str(r, path, "subject"),
@@ -577,8 +554,6 @@ def _parse_rule(r: dict, path: str) -> Rule:
             ops=frozenset(ops),
             effect=_choice(r, path, "effect", ("allow", "deny")),
         )
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
 def _parse_workload(
@@ -590,12 +565,8 @@ def _parse_workload(
     invocations: list[InvokeEvent] = []
     for i, w in enumerate(_list(wl, "workload", "invocations", [])):
         path = f"workload.invocations[{i}]"
-        client = _str(w, path, "client")
-        container = _str(w, path, "container")
-        if client not in nodes:
-            _fail(f"{path}.client", f"unknown node {client!r}")
-        if container not in known_containers:
-            _fail(f"{path}.container", f"unknown container {container!r}")
+        client = _ref(w, path, "client", nodes, "node")
+        container = _ref(w, path, "container", known_containers, "container")
         request = _str(w, path, "request")
         if "at" in w:
             expansion.take(1, path)
@@ -612,9 +583,7 @@ def _parse_workload(
     req_seq = 0
     for i, w in enumerate(_list(wl, "workload", "accesses", [])):
         path = f"workload.accesses[{i}]"
-        node = _str(w, path, "node")
-        if node not in nodes:
-            _fail(f"{path}.node", f"unknown node {node!r}")
+        node = _ref(w, path, "node", nodes, "node")
         subject = _str(w, path, "subject")
         object_id = _str(w, path, "object")
         op = _choice(w, path, "op", OPERATIONS)
@@ -629,9 +598,7 @@ def _parse_workload(
     policy_updates: list[PolicyEvent] = []
     for i, w in enumerate(_list(wl, "workload", "policy_updates", [])):
         path = f"workload.policy_updates[{i}]"
-        node = _str(w, path, "node")
-        if node not in nodes:
-            _fail(f"{path}.node", f"unknown node {node!r}")
+        node = _ref(w, path, "node", nodes, "node")
         action = _choice(w, path, "action", ("insert", "remove"))
         rule = None
         if action == "insert":
@@ -647,20 +614,15 @@ def _parse_telemetry(data: dict, nodes: set[str], expansion: _Expansion) -> tupl
     out: list[TelemetryEvent] = []
     for i, t in enumerate(_list(data, "scenario", "telemetry", [])):
         path = f"telemetry[{i}]"
-        node = _str(t, path, "node")
-        if node not in nodes:
-            _fail(f"{path}.node", f"unknown node {node!r}")
+        node = _ref(t, path, "node", nodes, "node")
         source = _str(t, path, "source")
         metric = _str(t, path, "metric")
         if "at" in t:
             expansion.take(1, path)
             out.append(TelemetryEvent(_int(t, path, "at", minimum=0), node, source, metric, _num(t, path, "value")))
             continue
-        start = _int(t, path, "start", minimum=0)
-        stop = _int(t, path, "stop", minimum=1)
+        start, stop = _span(t, path)
         every = _int(t, path, "every", 1, minimum=1)
-        if stop <= start:
-            _fail(f"{path}.stop", f"must be > start ({start}), got {stop}")
         expansion.take(_range_len(start, stop, every), path)
         ticks = range(start, stop, every)
         if "from" in t or "to" in t:
@@ -676,15 +638,13 @@ def _parse_telemetry(data: dict, nodes: set[str], expansion: _Expansion) -> tupl
     return tuple(out)
 
 
-def _parse_faults(data: dict, nodes: set[str], until: int) -> tuple[FaultDirective, ...]:
+def _parse_faults(data: dict, nodes: set[str]) -> tuple[FaultDirective, ...]:
     out: list[FaultDirective] = []
     for i, f in enumerate(_list(data, "scenario", "faults", [])):
         path = f"faults[{i}]"
         kind = _choice(f, path, "kind", ("crash", "recover", "set_loss", "partition"))
         if kind in ("crash", "recover"):
-            node = _str(f, path, "node")
-            if node not in nodes:
-                _fail(f"{path}.node", f"unknown node {node!r}")
+            node = _ref(f, path, "node", nodes, "node")
             at = _int(f, path, "at", minimum=0)
             out.append(Crash(node, at) if kind == "crash" else Recover(node, at))
         elif kind == "set_loss":
@@ -697,10 +657,7 @@ def _parse_faults(data: dict, nodes: set[str], until: int) -> tuple[FaultDirecti
                     _fail(f"{path}.{label}", "expected a non-empty list of known node ids")
             if set(a) & set(b):
                 _fail(f"{path}.b", "partition sides overlap")
-            start = _int(f, path, "start", minimum=0)
-            stop = _int(f, path, "stop", minimum=1)
-            if stop <= start:
-                _fail(f"{path}.stop", f"must be > start ({start}), got {stop}")
+            start, stop = _span(f, path)
             out.append(Partition(frozenset(a), frozenset(b), start, stop))
     return tuple(out)
 
@@ -755,16 +712,18 @@ def parse_scenario(data, default_name: str = "scenario") -> Scenario:
         accesses=accesses,
         policy_updates=policy_updates,
         telemetry=_parse_telemetry(data, nodes, expansion),
-        faults=_parse_faults(data, nodes, until),
+        faults=_parse_faults(data, nodes),
     )
 
 
 def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError("file", f"cannot read {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("file", f"{p} is not valid UTF-8: {exc}") from exc
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

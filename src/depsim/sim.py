@@ -135,10 +135,9 @@ class NodeHandle:
     is how a crash cancels pending timers without touching the heap.
     """
 
-    __slots__ = ("node_id", "status", "epoch")
+    __slots__ = ("status", "epoch")
 
-    def __init__(self, node_id: str):
-        self.node_id = node_id
+    def __init__(self) -> None:
         self.status = NodeStatus.UP
         self.epoch = 0
 
@@ -182,7 +181,7 @@ class Simulator:
         for nid in node_ids:
             if nid in self.nodes:
                 raise ValueError(f"duplicate node id {nid!r}")
-            self.nodes[nid] = NodeHandle(nid)
+            self.nodes[nid] = NodeHandle()
         self._heap: list[tuple[int, int, int, Any]] = []
         self._next_seq = 0
         self._msg_seq = 0
@@ -256,17 +255,14 @@ class Simulator:
         heapq.heappush(self._heap, (now + delay, seq, _DELIVER, (src, dst, msg, msg_id, now)))
 
     def inject_fault(self, directive: Crash | Recover | SetLoss | Partition) -> EventId:
-        if isinstance(directive, (Crash, Recover)):
-            self._require_node(directive.node)
-            return self.schedule(directive.at, _DIRECTIVE, directive)
-        if isinstance(directive, SetLoss):
-            return self.schedule(directive.at, _DIRECTIVE, directive)
         if isinstance(directive, Partition):
             for nid in directive.a | directive.b:
                 self._require_node(nid)
             self.network.partitions.append(directive)
             return -1
-        return self.schedule(getattr(directive, "at"), _DIRECTIVE, directive)
+        if isinstance(directive, (Crash, Recover)):
+            self._require_node(directive.node)
+        return self.schedule(directive.at, _DIRECTIVE, directive)
 
     def schedule_directive(self, at: SimTime, directive: Any) -> EventId:
         """Scenario-level directive delivered to the directive handler."""

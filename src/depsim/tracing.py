@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from .verify import REQUIRED_DETAIL
-
 
 class MalformedTrace(Exception):
     """Raised when a trace file cannot be parsed or lacks required fields."""
@@ -75,6 +73,25 @@ def load_jsonl(path: str) -> list[dict[str, Any]]:
                 raise MalformedTrace(f"line {lineno}: {problem}")
             entries.append(obj)
     return entries
+
+
+# The detail fields the checks in ``verify`` read, with their types, per
+# entry kind. load_jsonl rejects a trace entry that lacks one, so no check
+# meets one missing or mistyped (an unhashable msg_id or plan included).
+REQUIRED_DETAIL: dict[str, dict[str, type]] = {
+    "send": {"msg_id": int},
+    "deliver": {"msg_id": int},
+    "notice_applied": {"notice": str},
+    "suspect": {"peer": str},
+    "refute": {"peer": str},
+    "remove": {"peer": str},
+    "access": {"request": str},
+    "audit": {"request": str},
+    "summary": {"cluster": str},
+    "plan": {"plan": str, "actions": list},
+    "plan_done": {"plan": str, "ok": bool},
+    "alert_operator": {"plan": str},
+}
 
 
 def _shape_problem(obj: Any) -> str | None:

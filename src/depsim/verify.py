@@ -32,25 +32,6 @@ from dataclasses import dataclass
 from .membership import ClusterTopology
 
 
-# The detail fields the checks below read, with their types, per entry
-# kind. load_jsonl rejects a trace entry that lacks one, so no check
-# meets one missing or mistyped (an unhashable msg_id or plan included).
-REQUIRED_DETAIL: dict[str, dict[str, type]] = {
-    "send": {"msg_id": int},
-    "deliver": {"msg_id": int},
-    "notice_applied": {"notice": str},
-    "suspect": {"peer": str},
-    "refute": {"peer": str},
-    "remove": {"peer": str},
-    "access": {"request": str},
-    "audit": {"request": str},
-    "summary": {"cluster": str},
-    "plan": {"plan": str, "actions": list},
-    "plan_done": {"plan": str, "ok": bool},
-    "alert_operator": {"plan": str},
-}
-
-
 @dataclass(frozen=True)
 class Violation:
     check: str

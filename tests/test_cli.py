@@ -124,8 +124,29 @@ def test_run_rejects_output_in_missing_directory(scenario_file, tmp_path, capsys
     assert captured.err == f"output error: {flag}: no directory for {out}\n"
 
 
+@pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out"])
+def test_run_rejects_output_that_is_a_directory(scenario_file, tmp_path, capsys, flag):
+    assert main(["run", "--scenario", scenario_file, flag, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no summary line: nothing was simulated
+    assert captured.err == f"output error: {flag}: {tmp_path} is a directory\n"
+
+
 def test_run_rejects_missing_file(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.yaml")]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_scenario_that_is_not_utf8_is_rejected(scenario_file, tmp_path, capsys, command):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"\xff\xfe" + SCENARIO.encode())
+    trace_path = tmp_path / "out.jsonl"
+    main(["run", "--scenario", scenario_file, "--trace-out", str(trace_path), "--quiet"])
+    args = ["--scenario", str(bad)] + (["--trace", str(trace_path)] if command == "verify" else [])
+    assert main([command] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: file: {bad} is not valid UTF-8")
+    assert err.count("\n") == 1
 
 
 def test_verify_subcommand_ok(scenario_file, tmp_path, capsys):

@@ -142,8 +142,9 @@ def test_degraded_marking_and_clearing():
     with pytest.raises(UnknownReplica):
         reg.mark_degraded("store", "h9")
     assert reg.container("store").degraded == {"h1"}
-    assert reg.clear_degraded("h1") == ["store"]
-    assert reg.clear_degraded("h1") == []
+    reg.clear_degraded("h1")
+    assert reg.container("store").degraded == set()
+    reg.clear_degraded("h1")  # already clear: nothing changes
     assert reg.container("store").degraded == set()
 
 
@@ -162,8 +163,9 @@ def test_alternative_consumption_in_order():
 def test_add_replica_dedups():
     reg = build_registry()
     state = reg.container("store")
-    assert state.add_replica(Replica("h3", "s1")) is True
-    assert state.add_replica(Replica("h3", "s1")) is False
+    state.add_replica(Replica("h3", "s1"))
+    assert [r.host for r in state.replicas] == ["h1", "h2", "h3"]
+    state.add_replica(Replica("h3", "s1"))
     assert [r.host for r in state.replicas] == ["h1", "h2", "h3"]
 
 

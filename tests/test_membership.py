@@ -455,8 +455,9 @@ def test_apply_summaries_keeps_freshest():
     det = hierarchy_detector("a0")
     s1 = ClusterSummary("leaf", epoch=40, rep="b0", alive=("b0", "b1"), suspected=())
     s2 = ClusterSummary("leaf", epoch=60, rep="b0", alive=("b0",), suspected=("b1",))
-    assert det.apply_summaries(SummaryBatch("b0", (s2,))) == [s2]
-    assert det.apply_summaries(SummaryBatch("b0", (s1,))) == []  # stale
+    det.apply_summaries(SummaryBatch("b0", (s2,)))
+    assert det.latest["leaf"] is s2
+    det.apply_summaries(SummaryBatch("b0", (s1,)))  # stale
     assert det.latest["leaf"] is s2
     assert det.global_suspected() == {"b1"}
 
@@ -466,7 +467,8 @@ def test_rep_tiebreak_on_equal_epoch():
     s_old = ClusterSummary("leaf", epoch=40, rep="b0", alive=("b0",), suspected=())
     s_new = ClusterSummary("leaf", epoch=40, rep="b1", alive=("b1",), suspected=("b0",))
     det.apply_summaries(SummaryBatch("b0", (s_old,)))
-    assert det.apply_summaries(SummaryBatch("b1", (s_new,))) == [s_new]
+    det.apply_summaries(SummaryBatch("b1", (s_new,)))
+    assert det.latest["leaf"] is s_new
 
 
 def test_tree_targets_parent_then_children():

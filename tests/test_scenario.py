@@ -385,6 +385,38 @@ def test_fault_errors():
     assert err(minimal(faults=[{"kind": "set_loss", "probability": 1.5, "at": 1}])).path == "faults[0].probability"
 
 
+# --- error paths of the shared reference, id and span rules ---------------------------------
+
+_CONTAINER = {"id": "c", "strategy": "failover", "timeout": 5, "replicas": [{"host": "a", "service": "s1"}]}
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"alternatives": [{"container": "zz", "host": "b", "service": "s1"}]}, "alternatives[0].container"),
+        ({"alternatives": [{"container": "c", "host": "zz", "service": "s1"}]}, "alternatives[0].host"),
+        ({"behaviors": [{"host": "zz", "service": "s1", "kind": "corrupt", "start": 0, "stop": 5}]}, "behaviors[0].host"),
+        ({"behaviors": [{"host": "a", "service": "zz", "kind": "corrupt", "start": 0, "stop": 5}]}, "behaviors[0].service"),
+        ({"jobs": [{"id": "j"}, {"id": "j"}]}, "jobs[1].id"),
+        ({"security": {"subjects": [{"id": "u"}, {"id": "u"}]}}, "security.subjects[1].id"),
+        (
+            {"security": {"objects": [{"id": "o", "owner": "u", "vo": "v"}, {"id": "o", "owner": "u", "vo": "v"}]}},
+            "security.objects[1].id",
+        ),
+        ({"services": [{"id": "s1"}, {"id": "s1"}]}, "services[1].id"),
+        ({"containers": [_CONTAINER, _CONTAINER]}, "containers[1].id"),
+        ({"clusters": [{"id": "c0", "nodes": ["a"]}, {"id": "c0", "nodes": ["b"]}]}, "clusters[1].id"),
+        ({"workload": {"policy_updates": [{"node": "zz", "at": 1, "action": "remove", "index": 0}]}}, "workload.policy_updates[0].node"),
+        ({"faults": [{"kind": "partition", "a": ["a"], "b": ["b"], "start": 5, "stop": 5}]}, "faults[0].stop"),
+        ({"clusters": [{"id": "c0", "nodes": ["a", "b"], "parent": ""}]}, "clusters[0].parent"),
+        ({"forecasts": [{"source": "s", "metric": "m", "k": 3, "horizon": 5, "threshold": 2.0, "fault_class": ""}]}, "forecasts[0].fault_class"),
+    ],
+)
+def test_reference_id_and_span_error_paths(overrides, path):
+    base = minimal(services=[{"id": "s1"}], containers=[_CONTAINER])
+    assert err(dict(base, **overrides)).path == path
+
+
 # --- file loading ---------------------------------------------------------------------------
 
 
