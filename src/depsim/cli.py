@@ -3,8 +3,8 @@
 ``depsim run`` executes a scenario file and optionally writes the JSONL
 trace and a JSON metrics report; ``depsim verify`` replays the
 invariant checks over a previously written trace. Exit codes: 0 on
-success, 2 for an unusable scenario, trace file, ``--until`` or output
-path, 3 when verification finds violations.
+success, 2 for an unusable scenario, trace file, ``--seed``, ``--until``
+or output path, 3 when verification finds violations.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
+        if args.seed < 0:
+            print(f"scenario error: --seed: must be >= 0, got {args.seed}", file=sys.stderr)
+            return 2
         scenario = replace(scenario, seed=args.seed)
     if args.until is not None:
         if args.until < 1:

@@ -9,7 +9,10 @@ peer is inside a crash window and false otherwise.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .scenario import Scenario
+from .tracing import trace_rows
 
 
 def _holds(rec: dict, t: int) -> bool:
@@ -27,7 +30,7 @@ def _down_at(crashes: list[dict], node: str, t: int) -> dict | None:
     return None
 
 
-def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmup: int | None = None) -> dict:
+def compute_metrics(entries: Iterable[dict], scenario: Scenario | None = None, warmup: int | None = None) -> dict:
     if warmup is None:
         warmup = scenario.detector.t_bootstrap if scenario is not None else 0
     topology = scenario.topology if scenario is not None else None
@@ -45,18 +48,17 @@ def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmu
     views_by_peer: dict[str, list[int]] = {}
     removes: list[tuple[int, str]] = []
 
-    for e in entries:
-        kind = e["kind"]
+    rows = trace_rows(entries)
+    for t, kind, node, detail in rows:
         counts[kind] = counts.get(kind, 0) + 1
-        detail = e["detail"]
         if kind == "drop":
             reason = detail.get("reason", "?")
             drops[reason] = drops.get(reason, 0) + 1
         elif kind == "crash":
             crashes.append(
                 {
-                    "node": e["node"],
-                    "at": e["t"],
+                    "node": node,
+                    "at": t,
                     "recovered_at": None,
                     "first_suspect_at": None,
                     "last_member_suspect_at": None,
@@ -68,18 +70,18 @@ def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmu
             )
         elif kind == "recover":
             for rec in reversed(crashes):
-                if rec["node"] == e["node"] and rec["recovered_at"] is None:
-                    rec["recovered_at"] = e["t"]
+                if rec["node"] == node and rec["recovered_at"] is None:
+                    rec["recovered_at"] = t
                     break
         elif kind == "suspect":
-            suspects_by_peer.setdefault(detail["peer"], []).append((e["t"], e["node"]))
+            suspects_by_peer.setdefault(detail["peer"], []).append((t, node))
         elif kind == "refute":
             if detail.get("rejoin"):
                 rejoins += 1
         elif kind == "remove":
-            removes.append((e["t"], detail["peer"]))
+            removes.append((t, detail["peer"]))
         elif kind == "global_view":
-            views_by_peer.setdefault(detail["peer"], []).append(e["t"])
+            views_by_peer.setdefault(detail["peer"], []).append(t)
         elif kind == "invoke_done":
             outcome = detail["outcome"]
             inv_outcomes[outcome] = inv_outcomes.get(outcome, 0) + 1
@@ -138,8 +140,8 @@ def compute_metrics(entries: list[dict], scenario: Scenario | None = None, warmu
 
     return {
         "scenario": scenario.name if scenario is not None else None,
-        "ticks": entries[-1]["t"] if entries else 0,
-        "events": len(entries),
+        "ticks": rows[-1][0] if rows else 0,
+        "events": len(rows),
         "messages": {
             "sends": counts.get("send", 0),
             "delivers": counts.get("deliver", 0),

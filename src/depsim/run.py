@@ -14,6 +14,7 @@ from __future__ import annotations
 from .runtime import NodeRuntime
 from .scenario import AccessEvent, InvokeEvent, PolicyEvent, Scenario, TelemetryEvent
 from .sim import NetworkModel, Recover, Simulator
+from .tracing import TraceView
 
 
 class SimulationRun:
@@ -66,5 +67,5 @@ class SimulationRun:
         return self.run_until(self.scenario.until)
 
     @property
-    def trace(self) -> list[dict]:
+    def trace(self) -> TraceView:
         return self.sim.trace.entries

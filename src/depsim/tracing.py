@@ -6,31 +6,79 @@ sequence number ``seq`` (unique within the run), a ``kind`` string, the
 ``node`` it concerns (or None for run-level events) and a ``detail``
 mapping. Serialized form is JSON Lines with a fixed key order so that
 identical runs produce byte-identical files.
+
+In memory the recorder keeps one ``(t, kind, node, detail)`` row per
+entry; an entry's ``seq`` is its row's list index. Readers that want
+entry dicts get them from a read-only view that builds each one on read;
+metrics and verify read the rows through :func:`trace_rows`.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
+from itertools import count
 from typing import Any, Iterable
+
+Row = tuple[int, str, str | None, dict[str, Any]]
 
 
 class MalformedTrace(Exception):
     """Raised when a trace file cannot be parsed or lacks required fields."""
 
 
-class TraceRecorder:
-    """Collects trace entries in memory."""
+def _entry_dict(seq: int, row: Row) -> dict[str, Any]:
+    """The entry dict of the row at list index ``seq``."""
+    t, kind, node, detail = row
+    # Insertion order of keys is the serialization order.
+    return {"t": t, "seq": seq, "kind": kind, "node": node, "detail": detail}
 
-    __slots__ = ("entries", "_seq")
+
+class TraceView(Sequence):
+    """Read-only sequence of entry dicts over a recorder's rows. Every
+    read builds a fresh dict, so changing one never changes the trace;
+    the ``detail`` mapping is the recorded one."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[Row]) -> None:
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int) -> dict[str, Any]:
+        seq = range(len(self.rows))[index]  # maps a negative index to its seq, or raises IndexError
+        return _entry_dict(seq, self.rows[seq])
+
+    def __iter__(self):
+        return map(_entry_dict, count(), self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, TraceView)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class TraceRecorder:
+    """Collects trace rows in memory; ``entries`` views them as dicts."""
+
+    __slots__ = ("rows", "entries")
 
     def __init__(self) -> None:
-        self.entries: list[dict[str, Any]] = []
-        self._seq = 0
+        self.rows: list[Row] = []
+        self.entries = TraceView(self.rows)
 
     def record(self, t: int, kind: str, node: str | None, detail: dict[str, Any]) -> None:
-        # Insertion order of keys is the serialization order.
-        self.entries.append({"t": t, "seq": self._seq, "kind": kind, "node": node, "detail": detail})
-        self._seq += 1
+        self.rows.append((t, kind, node, detail))
+
+
+def trace_rows(entries: Iterable[dict[str, Any]]) -> list[Row]:
+    """The rows of a trace: a recorder view's own row list, not copied,
+    or the rows of any other iterable of entry dicts."""
+    if isinstance(entries, TraceView):
+        return entries.rows
+    return [(e["t"], e["kind"], e["node"], e["detail"]) for e in entries]
 
 
 # One encoder for every entry: json.dumps with separators builds a new one per call.

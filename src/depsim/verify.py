@@ -28,8 +28,10 @@ Checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .membership import ClusterTopology
+from .tracing import Row, trace_rows
 
 
 @dataclass(frozen=True)
@@ -40,11 +42,10 @@ class Violation:
     node: str | None
 
 
-def _crash_isolation(entries: list[dict]) -> list[Violation]:
+def _crash_isolation(rows: list[Row]) -> list[Violation]:
     out: list[Violation] = []
     crashed: set[str] = set()
-    for e in entries:
-        node, kind = e["node"], e["kind"]
+    for t, kind, node, _ in rows:
         if kind == "crash":
             crashed.add(node)
             continue
@@ -52,59 +53,55 @@ def _crash_isolation(entries: list[dict]) -> list[Violation]:
             crashed.discard(node)
             continue
         if node in crashed and kind != "drop":
-            out.append(Violation("crash-isolation", f"{kind} entry from crashed node", e["t"], node))
+            out.append(Violation("crash-isolation", f"{kind} entry from crashed node", t, node))
     return out
 
 
-def _causality(entries: list[dict], base_latency: int) -> list[Violation]:
+def _causality(rows: list[Row], base_latency: int) -> list[Violation]:
     out: list[Violation] = []
-    sends: dict[int, dict] = {}
+    sent_at: dict[int, int] = {}  # msg_id -> send tick
     delivered: set[int] = set()
-    for e in entries:
-        detail = e["detail"]
-        if e["kind"] == "send":
-            sends[detail["msg_id"]] = e
-        elif e["kind"] == "deliver":
+    for t, kind, node, detail in rows:
+        if kind == "send":
+            sent_at[detail["msg_id"]] = t
+        elif kind == "deliver":
             msg_id = detail.get("msg_id")
-            send = sends.get(msg_id)
-            if send is None:
-                out.append(Violation("causality", f"delivery of msg_id {msg_id} without a prior send", e["t"], e["node"]))
+            send_t = sent_at.get(msg_id)
+            if send_t is None:
+                out.append(Violation("causality", f"delivery of msg_id {msg_id} without a prior send", t, node))
                 continue
             if msg_id in delivered:
-                out.append(Violation("causality", f"msg_id {msg_id} delivered twice", e["t"], e["node"]))
+                out.append(Violation("causality", f"msg_id {msg_id} delivered twice", t, node))
                 continue
             delivered.add(msg_id)
-            if detail.get("sent_at") != send["t"]:
+            if detail.get("sent_at") != send_t:
                 out.append(
-                    Violation("causality", f"msg_id {msg_id} sent_at {detail.get('sent_at')} != send time {send['t']}", e["t"], e["node"])
+                    Violation("causality", f"msg_id {msg_id} sent_at {detail.get('sent_at')} != send time {send_t}", t, node)
                 )
-            elif e["t"] < send["t"] + base_latency:
+            elif t < send_t + base_latency:
                 out.append(
                     Violation(
                         "causality",
-                        f"msg_id {msg_id} delivered after {e['t'] - send['t']} ticks, base latency is {base_latency}",
-                        e["t"],
-                        e["node"],
+                        f"msg_id {msg_id} delivered after {t - send_t} ticks, base latency is {base_latency}",
+                        t,
+                        node,
                     )
                 )
     return out
 
 
-def _exactly_once(entries: list[dict]) -> list[Violation]:
+def _exactly_once(rows: list[Row]) -> list[Violation]:
     out: list[Violation] = []
     applied: dict[str, set[str]] = {}  # node -> notices applied since its last crash
-    for e in entries:
-        kind = e["kind"]
+    for t, kind, node, detail in rows:
         if kind == "crash":
             # the node's applied set dies with it
-            applied.pop(e["node"], None)
+            applied.pop(node, None)
         elif kind == "notice_applied":
-            notice = e["detail"]["notice"]
-            seen = applied.setdefault(e["node"], set())
+            notice = detail["notice"]
+            seen = applied.setdefault(node, set())
             if notice in seen:
-                out.append(
-                    Violation("exactly-once", f"notice {notice} applied twice at the same node", e["t"], e["node"])
-                )
+                out.append(Violation("exactly-once", f"notice {notice} applied twice at the same node", t, node))
             seen.add(notice)
     return out
 
@@ -117,115 +114,101 @@ _LEGAL = {
 }
 
 
-def _suspicion_transitions(entries: list[dict]) -> list[Violation]:
+def _suspicion_transitions(rows: list[Row]) -> list[Violation]:
     out: list[Violation] = []
     state: dict[tuple[str, str], str] = {}
-    for e in entries:
-        kind = e["kind"]
+    for t, kind, node, detail in rows:
         if kind == "crash":
             # the observer's detector state dies with it
-            observer = e["node"]
-            for key in [k for k in state if k[0] == observer]:
+            for key in [k for k in state if k[0] == node]:
                 del state[key]
             continue
         if kind not in ("suspect", "refute", "remove"):
             continue
-        key = (e["node"], e["detail"]["peer"])
+        key = (node, detail["peer"])
         cur = state.get(key, "alive")
         nxt = _LEGAL.get((cur, kind))
         if nxt is None:
-            out.append(
-                Violation("suspicion-transitions", f"{kind} on peer {key[1]} while {cur}", e["t"], e["node"])
-            )
+            out.append(Violation("suspicion-transitions", f"{kind} on peer {key[1]} while {cur}", t, node))
             # resynchronize so one bad entry does not cascade
             nxt = {"suspect": "suspected", "refute": "alive", "remove": "removed"}[kind]
         state[key] = nxt
     return out
 
 
-def _mediation_completeness(entries: list[dict]) -> list[Violation]:
+def _mediation_completeness(rows: list[Row]) -> list[Violation]:
     out: list[Violation] = []
-    accesses: dict[str, dict] = {}
+    accesses: dict[str, tuple[int, str | None]] = {}  # request id -> (t, node) of its access
     audited: set[str] = set()
-    for e in entries:
-        if e["kind"] == "access":
-            rid = e["detail"]["request"]
+    for t, kind, node, detail in rows:
+        if kind == "access":
+            rid = detail["request"]
             if rid in accesses:
-                out.append(Violation("mediation-completeness", f"duplicate access request id {rid}", e["t"], e["node"]))
-            accesses[rid] = e
-        elif e["kind"] == "audit":
-            rid = e["detail"]["request"]
+                out.append(Violation("mediation-completeness", f"duplicate access request id {rid}", t, node))
+            accesses[rid] = (t, node)
+        elif kind == "audit":
+            rid = detail["request"]
             if rid in audited:
-                out.append(Violation("mediation-completeness", f"request {rid} audited twice", e["t"], e["node"]))
+                out.append(Violation("mediation-completeness", f"request {rid} audited twice", t, node))
             audited.add(rid)
             if rid not in accesses:
-                out.append(Violation("mediation-completeness", f"audit for unseen request {rid}", e["t"], e["node"]))
-    for rid, e in accesses.items():
+                out.append(Violation("mediation-completeness", f"audit for unseen request {rid}", t, node))
+    for rid, (t, node) in accesses.items():
         if rid not in audited:
-            out.append(Violation("mediation-completeness", f"access {rid} was never audited", e["t"], e["node"]))
+            out.append(Violation("mediation-completeness", f"access {rid} was never audited", t, node))
     return out
 
 
-def _hierarchy_soundness(entries: list[dict], topology: ClusterTopology) -> list[Violation]:
+def _hierarchy_soundness(rows: list[Row], topology: ClusterTopology) -> list[Violation]:
     out: list[Violation] = []
     root_members = set(topology.clusters[topology.root])
-    for e in entries:
-        if e["kind"] == "summary":
-            cluster = e["detail"]["cluster"]
+    for t, kind, node, detail in rows:
+        if kind == "summary":
+            cluster = detail["cluster"]
             members = topology.clusters.get(cluster)
-            if members is None or e["node"] not in members:
-                out.append(
-                    Violation("hierarchy-soundness", f"summary for {cluster} from non-member", e["t"], e["node"])
-                )
-        elif e["kind"] == "global_view" and e["node"] not in root_members:
-            out.append(
-                Violation("hierarchy-soundness", "global view entry outside the root cluster", e["t"], e["node"])
-            )
+            if members is None or node not in members:
+                out.append(Violation("hierarchy-soundness", f"summary for {cluster} from non-member", t, node))
+        elif kind == "global_view" and node not in root_members:
+            out.append(Violation("hierarchy-soundness", "global view entry outside the root cluster", t, node))
     return out
 
 
-def _alert_totality(entries: list[dict]) -> list[Violation]:
+def _alert_totality(rows: list[Row]) -> list[Violation]:
     out: list[Violation] = []
-    alerts_by_plan: set[str] = set()
-    for e in entries:
-        if e["kind"] == "alert_operator":
-            alerts_by_plan.add(e["detail"].get("plan"))
-    for e in entries:
-        if e["kind"] == "plan_done" and not e["detail"]["ok"]:
-            if e["detail"]["plan"] not in alerts_by_plan:
-                out.append(
-                    Violation("alert-totality", f"failed plan {e['detail']['plan']} raised no alert", e["t"], e["node"])
-                )
-        elif e["kind"] == "plan" and e["detail"]["actions"] == ["alert_operator"]:
-            if e["detail"]["plan"] not in alerts_by_plan:
-                out.append(
-                    Violation("alert-totality", f"alert-only plan {e['detail']['plan']} never alerted", e["t"], e["node"])
-                )
+    alerts_by_plan = {detail.get("plan") for _, kind, _, detail in rows if kind == "alert_operator"}
+    for t, kind, node, detail in rows:
+        if kind == "plan_done" and not detail["ok"]:
+            if detail["plan"] not in alerts_by_plan:
+                out.append(Violation("alert-totality", f"failed plan {detail['plan']} raised no alert", t, node))
+        elif kind == "plan" and detail["actions"] == ["alert_operator"]:
+            if detail["plan"] not in alerts_by_plan:
+                out.append(Violation("alert-totality", f"alert-only plan {detail['plan']} never alerted", t, node))
     return out
 
 
-def _module_errors(entries: list[dict]) -> list[Violation]:
+def _module_errors(rows: list[Row]) -> list[Violation]:
     return [
-        Violation("module-errors", str(e["detail"].get("error", "handler raised")), e["t"], e["node"])
-        for e in entries
-        if e["kind"] == "module_error"
+        Violation("module-errors", str(detail.get("error", "handler raised")), t, node)
+        for t, kind, node, detail in rows
+        if kind == "module_error"
     ]
 
 
 def verify_trace(
-    entries: list[dict],
+    entries: Iterable[dict],
     base_latency: int = 1,
     topology: ClusterTopology | None = None,
 ) -> list[Violation]:
     """Run every applicable check; violations come back in check order."""
+    rows = trace_rows(entries)
     out: list[Violation] = []
-    out.extend(_crash_isolation(entries))
-    out.extend(_causality(entries, base_latency))
-    out.extend(_exactly_once(entries))
-    out.extend(_suspicion_transitions(entries))
-    out.extend(_mediation_completeness(entries))
+    out.extend(_crash_isolation(rows))
+    out.extend(_causality(rows, base_latency))
+    out.extend(_exactly_once(rows))
+    out.extend(_suspicion_transitions(rows))
+    out.extend(_mediation_completeness(rows))
     if topology is not None:
-        out.extend(_hierarchy_soundness(entries, topology))
-    out.extend(_alert_totality(entries))
-    out.extend(_module_errors(entries))
+        out.extend(_hierarchy_soundness(rows, topology))
+    out.extend(_alert_totality(rows))
+    out.extend(_module_errors(rows))
     return out

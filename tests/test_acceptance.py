@@ -63,6 +63,7 @@ def test_determinism_and_runtime_budget(tmp_path):
         assert out[0]
 
 
+@pytest.mark.slow
 def test_detection_complete_under_loss():
     # every surviving cluster member suspects the crashed node by the
     # end of the run, and never later than the frozen loss-free ceiling
@@ -77,6 +78,7 @@ def test_detection_complete_under_loss():
         assert latency <= DETECT_ALLOWED, f"seed {seed}: {latency}"
 
 
+@pytest.mark.slow
 def test_no_false_suspicions_on_quiet_cluster():
     # loss-free, jitter-free; nothing crashes, so any suspicion at all
     # is a false one

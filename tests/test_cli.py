@@ -115,6 +115,15 @@ def test_run_rejects_until_below_one(scenario_file, tmp_path, capsys, until):
     assert not trace_path.exists()  # rejected before the run
 
 
+def test_run_rejects_negative_seed(scenario_file, tmp_path, capsys):
+    trace_path = tmp_path / "out.jsonl"
+    assert main(["run", "--scenario", scenario_file, "--seed", "-1", "--trace-out", str(trace_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no summary line: nothing was simulated
+    assert captured.err == "scenario error: --seed: must be >= 0, got -1\n"
+    assert not trace_path.exists()
+
+
 @pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out"])
 def test_run_rejects_output_in_missing_directory(scenario_file, tmp_path, capsys, flag):
     out = tmp_path / "missing" / "out.json"

@@ -1,6 +1,10 @@
-import pytest
+import json
 
-from depsim.tracing import MalformedTrace, TraceRecorder, dump_jsonl, dumps_jsonl, load_jsonl
+import pytest
+from conftest import base_scenario
+
+from depsim.run import SimulationRun
+from depsim.tracing import MalformedTrace, TraceRecorder, dump_jsonl, dumps_jsonl, load_jsonl, trace_rows
 
 
 def test_record_fixed_shape():
@@ -69,3 +73,78 @@ def test_load_rejects_bad_shapes_with_line_number(tmp_path, line, problem):
     path.write_text('{"t": 0, "seq": 0, "kind": "x", "node": null, "detail": {}}\n' + line + "\n")
     with pytest.raises(MalformedTrace, match=f"^line 2: {problem}"):
         load_jsonl(str(path))
+
+
+# --- rows and the entry view ---------------------------------------------------------
+
+
+def recorded():
+    rec = TraceRecorder()
+    for i in range(5):
+        rec.record(i // 2, "tick", None if i % 3 else "a", {"i": i})
+    return rec
+
+
+def test_rows_are_four_tuples_without_seq():
+    rec = recorded()
+    assert rec.rows[3] == (1, "tick", "a", {"i": 3})
+    assert all(type(row) is tuple and len(row) == 4 for row in rec.rows)
+
+
+def test_view_iteration_indexing_and_len_agree():
+    view = recorded().entries
+    listed = list(view)
+    assert len(view) == len(listed) == 5
+    assert [view[i] for i in range(len(view))] == listed
+    assert [view[i] for i in range(-len(view), 0)] == listed
+    assert view[-1] == listed[-1] == {"t": 2, "seq": 4, "kind": "tick", "node": None, "detail": {"i": 4}}
+    assert list(view[-1]) == ["t", "seq", "kind", "node", "detail"]
+    assert view == listed and view != listed[:-1]
+    with pytest.raises(IndexError):
+        view[5]
+    with pytest.raises(IndexError):
+        view[-6]
+
+
+def test_view_is_live_and_seq_is_row_index_across_split_runs():
+    scn = base_scenario(until=200)
+    split = SimulationRun(scn, seed=3)
+    view = split.trace
+    for cut in (17, 64, 150):
+        split.run_until(cut)
+        assert len(view) == len(split.sim.trace.rows)
+    split.run()
+    assert [e["seq"] for e in view] == list(range(len(view)))
+    assert [(e["t"], e["kind"], e["node"], e["detail"]) for e in view] == split.sim.trace.rows
+    assert view == SimulationRun(scn, seed=3).run().trace
+
+
+def test_changing_a_read_entry_leaves_the_trace_alone():
+    rec = recorded()
+    first = rec.entries[2]
+    first.update(t=99, seq=99, kind="forged", node="z")
+    for e in rec.entries:
+        e["seq"] = -1
+    assert rec.entries[2] == {"t": 1, "seq": 2, "kind": "tick", "node": None, "detail": {"i": 2}}
+    assert [e["seq"] for e in rec.entries] == list(range(5))
+
+
+def test_trace_rows_of_view_and_of_dicts():
+    rec = recorded()
+    assert trace_rows(rec.entries) is rec.rows
+    assert trace_rows(list(rec.entries)) == rec.rows
+
+
+def test_dumps_matches_encoding_of_plain_entry_dicts():
+    rec = TraceRecorder()
+    old = []
+    for seq, (t, kind, node, detail) in enumerate(
+        [(0, "send", "a", {"dst": "b", "msg": "gossip", "msg_id": 1}), (0, "set_loss", None, {"probability": 0.25}),
+         (3, "deliver", "b", {"src": "a", "msg": "gossip", "msg_id": 1, "sent_at": 0}), (4, "crash", "b", {}),
+         (4, "note", "a", {"text": "ünïcode \"quoted\"", "nested": {"xs": [1, None, True]}})]
+    ):
+        rec.record(t, kind, node, detail)
+        old.append({"t": t, "seq": seq, "kind": kind, "node": node, "detail": detail})
+    expected = "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in old)
+    assert dumps_jsonl(rec.entries) == expected
+    assert dumps_jsonl(old) == expected

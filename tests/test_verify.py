@@ -5,6 +5,8 @@ from conftest import base_scenario, run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depsim.metrics import compute_metrics
+from depsim.tracing import TraceRecorder
 from depsim.verify import verify_trace
 
 
@@ -300,3 +302,111 @@ def test_random_topologies_and_fault_schedules_verify_clean(case):
     scn, seed = case
     trace = run(scn, seed=seed).trace
     assert verify_trace(trace, base_latency=scn.base_latency, topology=scn.topology) == []
+
+
+# --- rows and entry dicts give the same verdict ----------------------------------------
+
+
+def replayed(trace):
+    """The trace recorded afresh, so consumers read the recorder's rows."""
+    rec = TraceRecorder()
+    for e in trace:
+        rec.record(e["t"], e["kind"], e["node"], e["detail"])
+    return rec.entries
+
+
+def assert_rows_agree_with_dicts(trace, scn):
+    expected = verify_trace(trace, scn.base_latency, scn.topology)
+    assert expected, "the trace should break at least one check"
+    view = replayed(trace)
+    assert verify_trace(view, scn.base_latency, scn.topology) == expected
+    assert compute_metrics(view, scn) == compute_metrics(trace, scn)
+
+
+# Breaks every check, with crash/recover/suspect/remove and workload
+# entries in it for the metrics report.
+HAND_CORRUPTED = [
+    entry(1, "send", "a", dst="b", msg="M", msg_id=1),
+    entry(2, "deliver", "b", src="a", msg="M", msg_id=1, sent_at=1),
+    entry(3, "deliver", "b", src="a", msg="M", msg_id=1, sent_at=1),
+    entry(4, "deliver", "b", src="a", msg="M", msg_id=7, sent_at=3),
+    entry(5, "send", "a", dst="c", msg="M", msg_id=2),
+    entry(6, "deliver", "c", src="a", msg="M", msg_id=2, sent_at=4),
+    entry(10, "crash", "b"),
+    entry(10, "suspect", "a", peer="b", gap=31),
+    entry(11, "suspect", "a", peer="b", gap=32),
+    entry(12, "send", "b", dst="a", msg="M", msg_id=3),
+    entry(20, "remove", "c", peer="b"),
+    entry(25, "recover", "b"),
+    entry(30, "notice_applied", "c", notice="n1", origin=True),
+    entry(31, "notice_applied", "c", notice="n1", origin=False),
+    entry(40, "access", "a", request="r1", subject="u", object="o", op="read"),
+    entry(41, "access", "a", request="r1", subject="u", object="o", op="read"),
+    entry(42, "audit", "a", request="r2", subject="u", object="o", op="read", decision="deny", reason="", matched_rule="", policy_version=1),
+    entry(50, "summary", "a", cluster="leaf", epoch=5, alive=["x"], suspected=[]),
+    entry(51, "global_view", "x", peer="y", status="suspected"),
+    entry(60, "plan", "a", plan="p1", subject="s", fault_class="F", actions=["alert_operator"]),
+    entry(61, "plan_done", "a", plan="p2", ok=False),
+    entry(62, "invoke_done", "a", container="store", outcome="success", latency=4),
+    entry(70, "module_error", "c", error="boom", where="on_timer"),
+]
+
+
+def test_hand_corrupted_trace_gives_same_verdict_on_rows():
+    scn = base_scenario(
+        network={"base_latency": 2, "jitter": 0, "loss": 0.0},
+        clusters=[{"id": "top", "nodes": ["a", "b", "c"], "parent": None}, {"id": "leaf", "nodes": ["x", "y"], "parent": "top"}],
+        containers=[],
+        services=[],
+    )
+    assert [(v.check, v.message, v.at, v.node) for v in verify_trace(HAND_CORRUPTED, 2, scn.topology)] == [
+    ('crash-isolation', 'send entry from crashed node', 12, 'b'),
+    ('causality', 'msg_id 1 delivered after 1 ticks, base latency is 2', 2, 'b'),
+    ('causality', 'msg_id 1 delivered twice', 3, 'b'),
+    ('causality', 'delivery of msg_id 7 without a prior send', 4, 'b'),
+    ('causality', 'msg_id 2 sent_at 4 != send time 5', 6, 'c'),
+    ('exactly-once', 'notice n1 applied twice at the same node', 31, 'c'),
+    ('suspicion-transitions', 'suspect on peer b while suspected', 11, 'a'),
+    ('suspicion-transitions', 'remove on peer b while alive', 20, 'c'),
+    ('mediation-completeness', 'duplicate access request id r1', 41, 'a'),
+    ('mediation-completeness', 'audit for unseen request r2', 42, 'a'),
+    ('mediation-completeness', 'access r1 was never audited', 41, 'a'),
+    ('hierarchy-soundness', 'summary for leaf from non-member', 50, 'a'),
+    ('hierarchy-soundness', 'global view entry outside the root cluster', 51, 'x'),
+    ('alert-totality', 'alert-only plan p1 never alerted', 60, 'a'),
+    ('alert-totality', 'failed plan p2 raised no alert', 61, 'a'),
+    ('module-errors', 'boom', 70, 'c'),
+    ]
+    assert_rows_agree_with_dicts(HAND_CORRUPTED, scn)
+
+
+@st.composite
+def mutated_runs(draw):
+    """A clean random run's trace after a few random edits and the
+    insertion of a delivery that no send precedes."""
+    scn, seed = draw(random_runs())
+    trace = list(run(scn, seed=seed).trace)
+    nodes = scn.topology.nodes()
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(trace) - 1))
+        edit = draw(st.sampled_from(["drop", "copy", "swap", "node", "tick"]))
+        if edit == "drop":
+            del trace[i]
+        elif edit == "copy":
+            trace.insert(i, trace[i])
+        elif edit == "swap" and i + 1 < len(trace):
+            trace[i], trace[i + 1] = trace[i + 1], trace[i]
+        elif edit == "node":
+            trace[i] = dict(trace[i], node=draw(st.sampled_from(nodes)))
+        elif edit == "tick":
+            trace[i] = dict(trace[i], t=max(0, trace[i]["t"] + draw(st.integers(-5, 5))))
+    i = draw(st.integers(0, len(trace) - 1))
+    trace.insert(i, entry(trace[i]["t"], "deliver", draw(st.sampled_from(nodes)), src="?", msg="M", msg_id=-1, sent_at=0))
+    return scn, trace
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_runs())
+def test_mutated_traces_give_same_verdict_on_rows(case):
+    scn, trace = case
+    assert_rows_agree_with_dicts(trace, scn)
