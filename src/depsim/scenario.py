@@ -31,6 +31,16 @@ FaultDirective = Crash | Recover | SetLoss | Partition
 # may expand to; a larger file fails to load instead of exhausting memory.
 MAX_EXPANDED_EVENTS = 1_000_000
 
+# Deepest nesting of mappings and sequences a scenario file may have. The
+# YAML composers build a document recursively: the Python one runs out of
+# stack after about a thousand levels and libyaml's crashes the process
+# after some tens of thousands, so the depth is checked on the parser's
+# events before a document is composed.
+MAX_NESTING = 64
+
+# libyaml's loader is about ten times faster than the pure-Python one.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 class ScenarioError(Exception):
     """Invalid scenario file; ``path`` points at the offending field."""
@@ -725,7 +735,23 @@ def load_scenario(path: str | Path) -> Scenario:
     except UnicodeDecodeError as exc:
         raise ScenarioError("file", f"{p} is not valid UTF-8: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        _check_nesting(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
-        raise ScenarioError("file", f"not valid YAML/JSON: {exc}") from exc
+        # PyYAML spreads a message over several lines; the CLI prints one.
+        raise ScenarioError("file", "not valid YAML/JSON: " + " ".join(str(exc).split())) from exc
     return parse_scenario(data, default_name=p.stem)
+
+
+def _check_nesting(text: str) -> None:
+    """Reject a document nested deeper than MAX_NESTING, stopping at the
+    first collection past the limit."""
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_NESTING:
+                line = event.start_mark.line + 1
+                raise ScenarioError("file", f"line {line}: nested deeper than {MAX_NESTING} levels")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1

@@ -248,7 +248,7 @@ class Simulator:
                 return
             if network.jitter:
                 delay += net.randrange(network.jitter + 1)
-        self.trace.record(now, "send", src, {"dst": dst, "msg": kind, "msg_id": msg_id})
+        self.trace.send(now, src, dst, kind, msg_id)
         # base_latency >= 1, so the delivery is never in the past.
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -299,7 +299,7 @@ class Simulator:
                 self.now, "drop", dst, {"reason": "partition", "src": src, "msg": kind, "msg_id": msg_id}
             )
             return
-        self.trace.record(self.now, "deliver", dst, {"src": src, "msg": kind, "msg_id": msg_id, "sent_at": sent_at})
+        self.trace.deliver(self.now, dst, src, kind, msg_id, sent_at)
         handler = self._message_handlers.get(dst)
         if handler is None:
             self.trace.record(self.now, "unrouted", dst, {"msg": kind})

@@ -11,6 +11,14 @@ In memory the recorder keeps one ``(t, kind, node, detail)`` row per
 entry; an entry's ``seq`` is its row's list index. Readers that want
 entry dicts get them from a read-only view that builds each one on read;
 metrics and verify read the rows through :func:`trace_rows`.
+
+The simulator's ``send`` and ``deliver`` entries, nearly all the rows of
+a quiet run, keep their detail as a plain tuple in the fixed field order
+of ``_TUPLE_FIELDS`` instead of a dict each. Only this module knows
+that layout: the view and the JSONL writer expand such a detail into the
+same keys in the same order (:func:`detail_dict`), and
+:func:`detail_field` reads one field of a detail in either form. Every
+other row holds the detail mapping it was recorded with.
 """
 
 from __future__ import annotations
@@ -20,24 +28,50 @@ from collections.abc import Sequence
 from itertools import count
 from typing import Any, Iterable
 
-Row = tuple[int, str, str | None, dict[str, Any]]
+Row = tuple[int, str, str | None, dict[str, Any] | tuple]
+
+# Field names of the details held as tuples, per entry kind, in the
+# order of the tuple and of the serialized keys.
+_TUPLE_FIELDS: dict[str, tuple[str, ...]] = {
+    "send": ("dst", "msg", "msg_id"),
+    "deliver": ("src", "msg", "msg_id", "sent_at"),
+}
+_FIELD_INDEX = {(kind, name): i for kind, names in _TUPLE_FIELDS.items() for i, name in enumerate(names)}
 
 
 class MalformedTrace(Exception):
     """Raised when a trace file cannot be parsed or lacks required fields."""
 
 
+def detail_field(kind: str, detail: dict[str, Any] | tuple, name: str) -> Any:
+    """Field ``name`` of a row's detail in either form, or None when a
+    detail mapping lacks it."""
+    if type(detail) is tuple:
+        return detail[_FIELD_INDEX[kind, name]]
+    return detail.get(name)
+
+
+def detail_dict(kind: str, detail: dict[str, Any] | tuple) -> dict[str, Any]:
+    """A row's detail as a mapping: a tuple expanded into a fresh dict of
+    its kind's fields in order, a mapping as it is."""
+    if type(detail) is tuple:
+        return dict(zip(_TUPLE_FIELDS[kind], detail))
+    return detail
+
+
 def _entry_dict(seq: int, row: Row) -> dict[str, Any]:
     """The entry dict of the row at list index ``seq``."""
     t, kind, node, detail = row
     # Insertion order of keys is the serialization order.
-    return {"t": t, "seq": seq, "kind": kind, "node": node, "detail": detail}
+    return {"t": t, "seq": seq, "kind": kind, "node": node, "detail": detail_dict(kind, detail)}
 
 
 class TraceView(Sequence):
     """Read-only sequence of entry dicts over a recorder's rows. Every
-    read builds a fresh dict, so changing one never changes the trace;
-    the ``detail`` mapping is the recorded one."""
+    read builds a fresh entry dict, so changing one never changes the
+    trace. A ``send`` or ``deliver`` detail held as a tuple is expanded
+    into a fresh mapping too; any other ``detail`` mapping is the recorded
+    one."""
 
     __slots__ = ("rows",)
 
@@ -69,13 +103,24 @@ class TraceRecorder:
         self.rows: list[Row] = []
         self.entries = TraceView(self.rows)
 
-    def record(self, t: int, kind: str, node: str | None, detail: dict[str, Any]) -> None:
+    def record(self, t: int, kind: str, node: str | None, detail: dict[str, Any] | tuple) -> None:
         self.rows.append((t, kind, node, detail))
+
+    # send and deliver append through record(), so a wrapper on record()
+    # still sees every row.
+    def send(self, t: int, src: str, dst: str, msg: str, msg_id: int) -> None:
+        """Record a ``send`` entry of ``src`` with its detail as a tuple."""
+        self.record(t, "send", src, (dst, msg, msg_id))
+
+    def deliver(self, t: int, dst: str, src: str, msg: str, msg_id: int, sent_at: int) -> None:
+        """Record a ``deliver`` entry at ``dst`` with its detail as a tuple."""
+        self.record(t, "deliver", dst, (src, msg, msg_id, sent_at))
 
 
 def trace_rows(entries: Iterable[dict[str, Any]]) -> list[Row]:
     """The rows of a trace: a recorder view's own row list, not copied,
-    or the rows of any other iterable of entry dicts."""
+    or the rows of any other iterable of entry dicts. Read a field of a
+    row's detail with :func:`detail_field`, which takes either form."""
     if isinstance(entries, TraceView):
         return entries.rows
     return [(e["t"], e["kind"], e["node"], e["detail"]) for e in entries]
@@ -112,9 +157,11 @@ def load_jsonl(path: str) -> list[dict[str, Any]]:
                     line.encode("utf-8")
                 except UnicodeEncodeError as exc:
                     raise MalformedTrace(f"line {lineno}: not valid UTF-8") from exc
+            # json.loads recurses once per nesting level, so a deep value
+            # raises RecursionError.
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise MalformedTrace(f"line {lineno}: {exc}") from exc
             problem = _shape_problem(obj)
             if problem is not None:

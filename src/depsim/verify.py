@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .membership import ClusterTopology
-from .tracing import Row, trace_rows
+from .tracing import Row, detail_field, trace_rows
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ def _causality(rows: list[Row], base_latency: int) -> list[Violation]:
     delivered: set[int] = set()
     for t, kind, node, detail in rows:
         if kind == "send":
-            sent_at[detail["msg_id"]] = t
+            sent_at[detail_field(kind, detail, "msg_id")] = t
         elif kind == "deliver":
-            msg_id = detail.get("msg_id")
+            msg_id = detail_field(kind, detail, "msg_id")
             send_t = sent_at.get(msg_id)
             if send_t is None:
                 out.append(Violation("causality", f"delivery of msg_id {msg_id} without a prior send", t, node))
@@ -74,10 +74,9 @@ def _causality(rows: list[Row], base_latency: int) -> list[Violation]:
                 out.append(Violation("causality", f"msg_id {msg_id} delivered twice", t, node))
                 continue
             delivered.add(msg_id)
-            if detail.get("sent_at") != send_t:
-                out.append(
-                    Violation("causality", f"msg_id {msg_id} sent_at {detail.get('sent_at')} != send time {send_t}", t, node)
-                )
+            claimed = detail_field(kind, detail, "sent_at")
+            if claimed != send_t:
+                out.append(Violation("causality", f"msg_id {msg_id} sent_at {claimed} != send time {send_t}", t, node))
             elif t < send_t + base_latency:
                 out.append(
                     Violation(

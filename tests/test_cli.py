@@ -141,6 +141,19 @@ def test_run_rejects_output_that_is_a_directory(scenario_file, tmp_path, capsys,
     assert captured.err == f"output error: {flag}: {tmp_path} is a directory\n"
 
 
+@pytest.mark.parametrize("depth", [2_000, 30_000])
+def test_run_rejects_deeply_nested_scenario(tmp_path, depth):
+    # A child process, because a composer that met this depth would crash
+    # the interpreter or exhaust its stack rather than raise.
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("scenario: " + "[" * depth + "]" * depth + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "depsim.cli", "run", "--scenario", str(deep)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "scenario error: file: line 1: nested deeper than 64 levels\n"
+
+
 def test_run_rejects_missing_file(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.yaml")]) == 2
 
@@ -194,6 +207,11 @@ def test_verify_rejects_garbage_trace(tmp_path, capsys):
         ({"t": 3, "seq": 0, "kind": "deliver", "node": "b", "detail": {"msg_id": [1]}}, "deliver entry needs detail.msg_id"),
         ({"t": 3, "seq": 0, "kind": "alert_operator", "node": "a", "detail": {"plan": {}}}, "alert_operator entry needs detail.plan"),
         (b"\xff\xfe{}\n", "not valid UTF-8"),
+        pytest.param(
+            b'{"t": 3, "seq": 0, "kind": "note", "node": "a", "detail": {"x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}}\n",
+            "maximum recursion depth exceeded",
+            id="deep-nesting",
+        ),
     ],
 )
 def test_verify_rejects_malformed_entry(tmp_path, capsys, entry, problem):

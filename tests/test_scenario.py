@@ -3,7 +3,9 @@ telemetry shorthand, and the error paths with their field locations."""
 
 import copy
 import json
+import re
 import textwrap
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +13,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_perfbench import load
 
 from depsim import scenario
 from depsim.scenario import ScenarioError, load_scenario, parse_scenario
@@ -515,3 +518,102 @@ def test_mutated_scenarios_raise_only_scenario_error(data):
             parse_scenario(data)
         except ScenarioError:
             pass
+
+
+# --- the YAML loader ---------------------------------------------------------------------------
+
+SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
+
+
+def parsed(loader, text):
+    """repr of the document ``text`` parses to (NaN compares equal that
+    way), or None when the loader raises."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError:
+        return None
+
+
+def assert_loaders_agree(text):
+    """libyaml and the pure-Python loader give equal data or both raise,
+    except where a known divergence explains the difference."""
+    python, libyaml = parsed(yaml.SafeLoader, text), parsed(yaml.CSafeLoader, text)
+    if python == libyaml:
+        return
+    if python is None:
+        # Only libyaml takes a tab as white space between tokens.
+        assert libyaml is not None and "\t" in text
+    else:
+        # Only the Python loader takes surrogate escapes and a U+FEFF
+        # that does not open the text.
+        assert libyaml is None and (SURROGATE_ESCAPE.search(text) or "\ufeff" in text[1:])
+
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+
+
+@needs_libyaml
+def test_loader_is_libyaml_when_available():
+    assert scenario._LOADER is yaml.CSafeLoader
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_loaders_agree_on_bundled_files(name):
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.yaml").read_text()
+    assert parsed(yaml.CSafeLoader, text) == parsed(yaml.SafeLoader, text) is not None
+
+
+@needs_libyaml
+@pytest.mark.parametrize("seed", [0, 41000, 41001])
+def test_loaders_agree_on_heal_mix_documents(seed):
+    doc = load("healmix").generate(seed)
+    for text in (json.dumps(doc), yaml.safe_dump(doc)):
+        assert parsed(yaml.CSafeLoader, text) == parsed(yaml.SafeLoader, text) is not None
+
+
+@needs_libyaml
+@settings(max_examples=100, deadline=None)
+@given(mutated_scenarios(), st.sampled_from([json.dumps, partial(json.dumps, indent="\t"), yaml.safe_dump]))
+def test_loaders_agree_on_mutated_scenarios(data, dump):
+    assert_loaders_agree(dump(data))
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "scn.yaml"
+    path.write_text(text, encoding="utf-8")
+    return load_scenario(path)
+
+
+@needs_libyaml
+def test_load_accepts_tab_separated_json(tmp_path):
+    assert load_text(tmp_path, json.dumps(minimal(name="tabbed"), indent="\t")).name == "tabbed"
+    assert load_text(tmp_path, '{"until":\t10, "clusters": [{"id": "c", "nodes": ["a"]}]}').until == 10
+
+
+@needs_libyaml
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(minimal(name="\U0001f600")),  # json.dumps writes a surrogate-pair escape
+        json.dumps(minimal(name="\ud800")),
+        "until: 10\n\ufeffclusters: [{id: c, nodes: [a]}]\n",
+    ],
+    ids=["surrogate-pair", "lone-surrogate", "bom-on-second-line"],
+)
+def test_load_rejects_what_libyaml_rejects(tmp_path, text):
+    with pytest.raises(ScenarioError, match="^file: not valid YAML/JSON: [^\n]*$"):
+        load_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)])
+def test_load_bounds_nesting(tmp_path, loader):
+    limit = scenario.MAX_NESTING
+    # The top-level mapping is the first level.
+    nested = "x: " + "[" * (limit - 1) + "]" * (limit - 1) + "\n"
+    with mock.patch.object(scenario, "_LOADER", loader):
+        assert load_text(tmp_path, "until: 10\nclusters: [{id: c, nodes: [a]}]\n" + nested).until == 10
+        for depth in (limit + 1, 100_000):
+            deep = "{a: " * depth + "1" + "}" * depth
+            with pytest.raises(ScenarioError, match=f"^file: line 1: nested deeper than {limit} levels$"):
+                load_text(tmp_path, deep)

@@ -4,7 +4,16 @@ import pytest
 from conftest import base_scenario
 
 from depsim.run import SimulationRun
-from depsim.tracing import MalformedTrace, TraceRecorder, dump_jsonl, dumps_jsonl, load_jsonl, trace_rows
+from depsim.tracing import (
+    MalformedTrace,
+    TraceRecorder,
+    detail_dict,
+    detail_field,
+    dump_jsonl,
+    dumps_jsonl,
+    load_jsonl,
+    trace_rows,
+)
 
 
 def test_record_fixed_shape():
@@ -115,8 +124,43 @@ def test_view_is_live_and_seq_is_row_index_across_split_runs():
         assert len(view) == len(split.sim.trace.rows)
     split.run()
     assert [e["seq"] for e in view] == list(range(len(view)))
-    assert [(e["t"], e["kind"], e["node"], e["detail"]) for e in view] == split.sim.trace.rows
+    assert [(e["t"], e["kind"], e["node"], e["detail"]) for e in view] == [
+        (t, kind, node, detail_dict(kind, detail)) for t, kind, node, detail in split.sim.trace.rows
+    ]
     assert view == SimulationRun(scn, seed=3).run().trace
+
+
+def test_simulator_holds_send_and_deliver_details_as_tuples():
+    rows = SimulationRun(base_scenario(until=120), seed=5).run().sim.trace.rows
+    sends = [row for row in rows if row[1] == "send"]
+    delivers = [row for row in rows if row[1] == "deliver"]
+    assert sends and delivers
+    assert all(type(row[3]) is tuple and len(row[3]) == 3 for row in sends)
+    assert all(type(row[3]) is tuple and len(row[3]) == 4 for row in delivers)
+    assert all(type(row[3]) is dict for row in rows if row[1] not in ("send", "deliver"))
+    # The dicts the simulator recorded before, key order included.
+    dst, msg, msg_id = sends[0][3]
+    assert list(detail_dict("send", sends[0][3]).items()) == [("dst", dst), ("msg", msg), ("msg_id", msg_id)]
+    src, msg, msg_id, sent_at = delivers[0][3]
+    expanded = detail_dict("deliver", delivers[0][3])
+    assert list(expanded.items()) == [("src", src), ("msg", msg), ("msg_id", msg_id), ("sent_at", sent_at)]
+    assert detail_field("deliver", delivers[0][3], "sent_at") == detail_field("deliver", expanded, "sent_at") == sent_at
+    assert detail_field("deliver", {"msg_id": 1}, "sent_at") is None
+
+
+def test_tuple_details_encode_like_the_dicts_they_replace():
+    rec = TraceRecorder()
+    rec.send(3, "a", "b", "gossip", 7)
+    rec.deliver(4, "b", "a", "gossip", 7, 3)
+    rec.record(4, "deliver", "c", {"src": "a", "msg": "gossip", "msg_id": 8})
+    assert dumps_jsonl(rec.entries) == (
+        '{"t":3,"seq":0,"kind":"send","node":"a","detail":{"dst":"b","msg":"gossip","msg_id":7}}\n'
+        '{"t":4,"seq":1,"kind":"deliver","node":"b","detail":{"src":"a","msg":"gossip","msg_id":7,"sent_at":3}}\n'
+        '{"t":4,"seq":2,"kind":"deliver","node":"c","detail":{"src":"a","msg":"gossip","msg_id":8}}\n'
+    )
+    # A detail a reader changes is a fresh dict; the row keeps its tuple.
+    rec.entries[1]["detail"]["sent_at"] = 99
+    assert rec.rows[1] == (4, "deliver", "b", ("a", "gossip", 7, 3))
 
 
 def test_changing_a_read_entry_leaves_the_trace_alone():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depsim.metrics import compute_metrics
-from depsim.tracing import TraceRecorder
+from depsim.tracing import TraceRecorder, dump_jsonl, load_jsonl
 from depsim.verify import verify_trace
 
 
@@ -315,12 +315,20 @@ def replayed(trace):
     return rec.entries
 
 
-def assert_rows_agree_with_dicts(trace, scn):
-    expected = verify_trace(trace, scn.base_latency, scn.topology)
+def assert_rows_agree_with_dicts(view, scn, tmp_dir):
+    """verify_trace and compute_metrics give the same results on a
+    recorder's rows, on the entry dicts read from them and on the
+    dump_jsonl -> load_jsonl round trip of those."""
+    dicts = list(view)
+    expected = verify_trace(dicts, scn.base_latency, scn.topology)
     assert expected, "the trace should break at least one check"
-    view = replayed(trace)
-    assert verify_trace(view, scn.base_latency, scn.topology) == expected
-    assert compute_metrics(view, scn) == compute_metrics(trace, scn)
+    path = str(tmp_dir / "trace.jsonl")
+    dump_jsonl(view, path)
+    loaded = load_jsonl(path)
+    assert loaded == dicts
+    for trace in (view, loaded):
+        assert verify_trace(trace, scn.base_latency, scn.topology) == expected
+        assert compute_metrics(trace, scn) == compute_metrics(dicts, scn)
 
 
 # Breaks every check, with crash/recover/suspect/remove and workload
@@ -352,7 +360,7 @@ HAND_CORRUPTED = [
 ]
 
 
-def test_hand_corrupted_trace_gives_same_verdict_on_rows():
+def test_hand_corrupted_trace_gives_same_verdict_on_rows(tmp_path):
     scn = base_scenario(
         network={"base_latency": 2, "jitter": 0, "loss": 0.0},
         clusters=[{"id": "top", "nodes": ["a", "b", "c"], "parent": None}, {"id": "leaf", "nodes": ["x", "y"], "parent": "top"}],
@@ -377,36 +385,49 @@ def test_hand_corrupted_trace_gives_same_verdict_on_rows():
     ('alert-totality', 'failed plan p2 raised no alert', 61, 'a'),
     ('module-errors', 'boom', 70, 'c'),
     ]
-    assert_rows_agree_with_dicts(HAND_CORRUPTED, scn)
+    assert_rows_agree_with_dicts(replayed(HAND_CORRUPTED), scn, tmp_path)
 
 
 @st.composite
 def mutated_runs(draw):
-    """A clean random run's trace after a few random edits and the
-    insertion of a delivery that no send precedes."""
+    """A clean random run's trace rows, with the simulator's tuple
+    details, after a few random edits, a wrong or missing ``sent_at`` in
+    one delivery, and the insertion of a delivery that no send precedes."""
     scn, seed = draw(random_runs())
-    trace = list(run(scn, seed=seed).trace)
+    rows = list(run(scn, seed=seed).sim.trace.rows)
     nodes = scn.topology.nodes()
     for _ in range(draw(st.integers(0, 4))):
-        i = draw(st.integers(0, len(trace) - 1))
+        i = draw(st.integers(0, len(rows) - 1))
+        t, kind, node, detail = rows[i]
         edit = draw(st.sampled_from(["drop", "copy", "swap", "node", "tick"]))
         if edit == "drop":
-            del trace[i]
+            del rows[i]
         elif edit == "copy":
-            trace.insert(i, trace[i])
-        elif edit == "swap" and i + 1 < len(trace):
-            trace[i], trace[i + 1] = trace[i + 1], trace[i]
+            rows.insert(i, rows[i])
+        elif edit == "swap" and i + 1 < len(rows):
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
         elif edit == "node":
-            trace[i] = dict(trace[i], node=draw(st.sampled_from(nodes)))
+            rows[i] = (t, kind, draw(st.sampled_from(nodes)), detail)
         elif edit == "tick":
-            trace[i] = dict(trace[i], t=max(0, trace[i]["t"] + draw(st.integers(-5, 5))))
-    i = draw(st.integers(0, len(trace) - 1))
-    trace.insert(i, entry(trace[i]["t"], "deliver", draw(st.sampled_from(nodes)), src="?", msg="M", msg_id=-1, sent_at=0))
-    return scn, trace
+            rows[i] = (max(0, t + draw(st.integers(-5, 5))), kind, node, detail)
+    delivers = [i for i, row in enumerate(rows) if row[1] == "deliver" and type(row[3]) is tuple]
+    if delivers:
+        i = draw(st.sampled_from(delivers))
+        t, kind, node, (src, msg, msg_id, sent_at) = rows[i]
+        if draw(st.booleans()):
+            rows[i] = (t, kind, node, (src, msg, msg_id, sent_at + draw(st.sampled_from([-1, 1]))))
+        else:
+            # A detail mapping without sent_at, as record() keeps it.
+            rows[i] = (t, kind, node, {"src": src, "msg": msg, "msg_id": msg_id})
+    i = draw(st.integers(0, len(rows) - 1))
+    rows.insert(i, (rows[i][0], "deliver", draw(st.sampled_from(nodes)), ("?", "M", -1, 0)))
+    rec = TraceRecorder()
+    rec.rows.extend(rows)
+    return scn, rec.entries
 
 
 @settings(max_examples=40, deadline=None)
 @given(mutated_runs())
-def test_mutated_traces_give_same_verdict_on_rows(case):
-    scn, trace = case
-    assert_rows_agree_with_dicts(trace, scn)
+def test_mutated_traces_give_same_verdict_on_rows(tmp_path_factory, case):
+    scn, view = case
+    assert_rows_agree_with_dicts(view, scn, tmp_path_factory.mktemp("rows"))
