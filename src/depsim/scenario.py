@@ -11,6 +11,7 @@ the simulation starts, with an error a human can act on.
 
 from __future__ import annotations
 
+import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -30,6 +31,12 @@ FaultDirective = Crash | Recover | SetLoss | Partition
 # Most scripted events (invocations, accesses, telemetry) one scenario
 # may expand to; a larger file fails to load instead of exhausting memory.
 MAX_EXPANDED_EVENTS = 1_000_000
+
+# Most (node, member) pairs all clusters together may hold, the sum of
+# each cluster's size squared: every node keeps a heartbeat row with its
+# own history of arrival gaps for each member of its cluster, about 1 KB
+# per pair.
+MAX_CLUSTER_PAIRS = 250_000
 
 # Deepest nesting of mappings and sequences a scenario file may have. The
 # YAML composers build a document recursively: the Python one runs out of
@@ -303,6 +310,9 @@ def _parse_topology(data: dict) -> ClusterTopology:
             _fail(f"{path}.nodes", "expected a non-empty list of node ids")
         clusters[cid] = tuple(nodes)
         parent[cid] = _str(c, path, "parent", None)
+    pairs = sum(len(members) ** 2 for members in clusters.values())
+    if pairs > MAX_CLUSTER_PAIRS:
+        _fail("clusters", f"clusters would hold {pairs} (node, member) pairs, above the limit of {MAX_CLUSTER_PAIRS}")
     with _checked("clusters"):
         return ClusterTopology(clusters, parent)
 
@@ -735,19 +745,27 @@ def load_scenario(path: str | Path) -> Scenario:
     except UnicodeDecodeError as exc:
         raise ScenarioError("file", f"{p} is not valid UTF-8: {exc}") from exc
     try:
-        _check_nesting(text)
-        data = yaml.load(text, Loader=_LOADER)
+        _check_nesting(_named(text, str(p)))
+        data = yaml.load(_named(text, str(p)), Loader=_LOADER)
     except yaml.YAMLError as exc:
         # PyYAML spreads a message over several lines; the CLI prints one.
         raise ScenarioError("file", "not valid YAML/JSON: " + " ".join(str(exc).split())) from exc
     return parse_scenario(data, default_name=p.stem)
 
 
-def _check_nesting(text: str) -> None:
+def _named(text: str, name: str) -> io.StringIO:
+    """The text as a stream named ``name``, so that PyYAML's error marks
+    name the file, not ``"<unicode string>"``."""
+    stream = io.StringIO(text)
+    stream.name = name
+    return stream
+
+
+def _check_nesting(stream: io.StringIO) -> None:
     """Reject a document nested deeper than MAX_NESTING, stopping at the
     first collection past the limit."""
     depth = 0
-    for event in yaml.parse(text, Loader=_LOADER):
+    for event in yaml.parse(stream, Loader=_LOADER):
         if isinstance(event, yaml.CollectionStartEvent):
             depth += 1
             if depth > MAX_NESTING:

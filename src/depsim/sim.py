@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation harness.
 
 The harness owns a logical integer clock, an event queue ordered by
-(fire_at, seq), a latency/loss/partition network model and one status
+(fire_at, seq), a latency/loss/partition network model and one liveness
 handle per node. Protocol code runs inside node handlers that the
 harness invokes; handlers emit new work exclusively through the harness
 (:meth:`Simulator.send`, :meth:`Simulator.set_timer`), which keeps the
@@ -20,7 +20,6 @@ import heapq
 import logging
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Callable
 
 from .tracing import TraceRecorder
@@ -37,11 +36,6 @@ class SchedulingInPast(Exception):
 
 class UnknownNode(Exception):
     """A node id was used that the simulation does not know."""
-
-
-class NodeStatus(Enum):
-    UP = "up"
-    CRASHED = "crashed"
 
 
 # --- fault directives ------------------------------------------------------
@@ -130,20 +124,17 @@ class RngFactory:
 class NodeHandle:
     """Liveness bookkeeping for one node.
 
-    ``epoch`` increments on every crash and recovery; timers carry the
-    epoch they were armed under and fire only if it still matches, which
-    is how a crash cancels pending timers without touching the heap.
+    ``up`` is False from a crash until the next recovery. ``epoch``
+    increments on every crash and recovery; timers carry the epoch they
+    were armed under and fire only if it still matches, which is how a
+    crash cancels pending timers without touching the heap.
     """
 
-    __slots__ = ("status", "epoch")
+    __slots__ = ("up", "epoch")
 
     def __init__(self) -> None:
-        self.status = NodeStatus.UP
+        self.up = True
         self.epoch = 0
-
-    @property
-    def up(self) -> bool:
-        return self.status is NodeStatus.UP
 
 
 # --- events -----------------------------------------------------------------
@@ -230,7 +221,7 @@ class Simulator:
             raise UnknownNode(src)
         if nodes.get(dst) is None:
             raise UnknownNode(dst)
-        if sender.status is not NodeStatus.UP:
+        if not sender.up:
             raise UnknownNode(f"send from crashed node {src}")
         msg_id = self._msg_seq
         self._msg_seq = msg_id + 1
@@ -329,14 +320,14 @@ class Simulator:
         if isinstance(directive, Crash):
             handle = self.nodes[directive.node]
             if handle.up:
-                handle.status = NodeStatus.CRASHED
+                handle.up = False
                 handle.epoch += 1
                 self.trace.record(self.now, "crash", directive.node, {})
             return
         if isinstance(directive, Recover):
             handle = self.nodes[directive.node]
             if not handle.up:
-                handle.status = NodeStatus.UP
+                handle.up = True
                 handle.epoch += 1
                 self.trace.record(self.now, "recover", directive.node, {})
                 if self._directive_handler is not None:

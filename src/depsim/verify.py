@@ -1,11 +1,18 @@
 """Trace invariant checking.
 
-Each check replays the trace and reports violations by name. The
+One forward pass over the trace's rows checks every invariant and
+reports violations by name; the two verdicts that need the whole trace,
+an access never audited and a plan never alerted, settle after it. The
 checks are intentionally independent of the simulator: they treat the
 trace as the authority, so they catch both implementation bugs and
 hand-corrupted trace files.
 
-Checks:
+All checks share one crash model: a ``crash`` entry marks its node down
+until its next ``recover``, and the node's applied notices and its
+detector's view of its peers die with it.
+
+Checks, in the order their violations are reported (each check's in
+trace order):
 
 - ``crash-isolation``: a crashed node produces no trace entries other
   than harness-side drops until it recovers.
@@ -21,7 +28,8 @@ Checks:
   members of the summarized cluster, and global view entries only by
   root cluster members (needs the scenario's topology).
 - ``alert-totality``: every failed plan raised an operator alert, and
-  plans that consist only of an alert actually alerted.
+  plans that consist only of an alert actually alerted, anywhere in the
+  trace.
 - ``module-errors``: component code never raised inside a handler.
 """
 
@@ -31,7 +39,28 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .membership import ClusterTopology
-from .tracing import Row, detail_field, trace_rows
+from .tracing import detail_field, trace_rows
+
+_CHECKS = (
+    "crash-isolation",
+    "causality",
+    "exactly-once",
+    "suspicion-transitions",
+    "mediation-completeness",
+    "hierarchy-soundness",
+    "alert-totality",
+    "module-errors",
+)
+
+# (state, entry kind) -> next state of one (observer, peer) pair
+_LEGAL = {
+    ("alive", "suspect"): "suspected",
+    ("suspected", "refute"): "alive",
+    ("suspected", "remove"): "removed",
+    ("removed", "refute"): "alive",
+}
+# The state an illegal entry resynchronizes its pair to, so one bad entry does not cascade
+_RESYNC = {"suspect": "suspected", "refute": "alive", "remove": "removed"}
 
 
 @dataclass(frozen=True)
@@ -42,172 +71,99 @@ class Violation:
     node: str | None
 
 
-def _crash_isolation(rows: list[Row]) -> list[Violation]:
-    out: list[Violation] = []
+def verify_trace(
+    entries: Iterable[dict], base_latency: int = 1, topology: ClusterTopology | None = None
+) -> list[Violation]:
+    """Run every applicable check in one pass; violations come back in
+    check order, each check's in trace order."""
+    found: dict[str, list[Violation]] = {check: [] for check in _CHECKS}
+
+    def flag(check: str, message: str, t: int, node: str | None) -> None:
+        found[check].append(Violation(check, message, t, node))
+
     crashed: set[str] = set()
-    for t, kind, node, _ in rows:
+    sent_at: dict[int, int] = {}  # msg_id -> send tick
+    delivered: set[int] = set()
+    applied: dict[str, set[str]] = {}  # node -> notices applied since its last crash
+    observed: dict[str, dict[str, str]] = {}  # observer -> peer -> suspicion state
+    accesses: dict[str, tuple[int, str | None]] = {}  # request id -> (t, node) of its last access
+    audited: set[str] = set()
+    alerted: set[str] = set()  # plans an alert_operator entry names
+    need_alert: list[tuple[str, str, int, str | None]] = []  # (plan, message, t, node)
+
+    for t, kind, node, detail in trace_rows(entries):
         if kind == "crash":
             crashed.add(node)
+            applied.pop(node, None)
+            observed.pop(node, None)
             continue
         if kind == "recover":
             crashed.discard(node)
             continue
         if node in crashed and kind != "drop":
-            out.append(Violation("crash-isolation", f"{kind} entry from crashed node", t, node))
-    return out
-
-
-def _causality(rows: list[Row], base_latency: int) -> list[Violation]:
-    out: list[Violation] = []
-    sent_at: dict[int, int] = {}  # msg_id -> send tick
-    delivered: set[int] = set()
-    for t, kind, node, detail in rows:
+            flag("crash-isolation", f"{kind} entry from crashed node", t, node)
         if kind == "send":
             sent_at[detail_field(kind, detail, "msg_id")] = t
         elif kind == "deliver":
             msg_id = detail_field(kind, detail, "msg_id")
             send_t = sent_at.get(msg_id)
             if send_t is None:
-                out.append(Violation("causality", f"delivery of msg_id {msg_id} without a prior send", t, node))
-                continue
-            if msg_id in delivered:
-                out.append(Violation("causality", f"msg_id {msg_id} delivered twice", t, node))
-                continue
-            delivered.add(msg_id)
-            claimed = detail_field(kind, detail, "sent_at")
-            if claimed != send_t:
-                out.append(Violation("causality", f"msg_id {msg_id} sent_at {claimed} != send time {send_t}", t, node))
-            elif t < send_t + base_latency:
-                out.append(
-                    Violation(
-                        "causality",
-                        f"msg_id {msg_id} delivered after {t - send_t} ticks, base latency is {base_latency}",
-                        t,
-                        node,
-                    )
-                )
-    return out
-
-
-def _exactly_once(rows: list[Row]) -> list[Violation]:
-    out: list[Violation] = []
-    applied: dict[str, set[str]] = {}  # node -> notices applied since its last crash
-    for t, kind, node, detail in rows:
-        if kind == "crash":
-            # the node's applied set dies with it
-            applied.pop(node, None)
+                flag("causality", f"delivery of msg_id {msg_id} without a prior send", t, node)
+            elif msg_id in delivered:
+                flag("causality", f"msg_id {msg_id} delivered twice", t, node)
+            else:
+                delivered.add(msg_id)
+                claimed = detail_field(kind, detail, "sent_at")
+                if claimed != send_t:
+                    flag("causality", f"msg_id {msg_id} sent_at {claimed} != send time {send_t}", t, node)
+                elif t < send_t + base_latency:
+                    message = f"msg_id {msg_id} delivered after {t - send_t} ticks, base latency is {base_latency}"
+                    flag("causality", message, t, node)
         elif kind == "notice_applied":
-            notice = detail["notice"]
             seen = applied.setdefault(node, set())
-            if notice in seen:
-                out.append(Violation("exactly-once", f"notice {notice} applied twice at the same node", t, node))
-            seen.add(notice)
-    return out
-
-
-_LEGAL = {
-    ("alive", "suspect"): "suspected",
-    ("suspected", "refute"): "alive",
-    ("suspected", "remove"): "removed",
-    ("removed", "refute"): "alive",
-}
-
-
-def _suspicion_transitions(rows: list[Row]) -> list[Violation]:
-    out: list[Violation] = []
-    state: dict[tuple[str, str], str] = {}
-    for t, kind, node, detail in rows:
-        if kind == "crash":
-            # the observer's detector state dies with it
-            for key in [k for k in state if k[0] == node]:
-                del state[key]
-            continue
-        if kind not in ("suspect", "refute", "remove"):
-            continue
-        key = (node, detail["peer"])
-        cur = state.get(key, "alive")
-        nxt = _LEGAL.get((cur, kind))
-        if nxt is None:
-            out.append(Violation("suspicion-transitions", f"{kind} on peer {key[1]} while {cur}", t, node))
-            # resynchronize so one bad entry does not cascade
-            nxt = {"suspect": "suspected", "refute": "alive", "remove": "removed"}[kind]
-        state[key] = nxt
-    return out
-
-
-def _mediation_completeness(rows: list[Row]) -> list[Violation]:
-    out: list[Violation] = []
-    accesses: dict[str, tuple[int, str | None]] = {}  # request id -> (t, node) of its access
-    audited: set[str] = set()
-    for t, kind, node, detail in rows:
-        if kind == "access":
+            if detail["notice"] in seen:
+                flag("exactly-once", f"notice {detail['notice']} applied twice at the same node", t, node)
+            seen.add(detail["notice"])
+        elif kind in _RESYNC:
+            peers = observed.setdefault(node, {})
+            peer = detail["peer"]
+            cur = peers.get(peer, "alive")
+            nxt = _LEGAL.get((cur, kind))
+            if nxt is None:
+                flag("suspicion-transitions", f"{kind} on peer {peer} while {cur}", t, node)
+                nxt = _RESYNC[kind]
+            peers[peer] = nxt
+        elif kind == "access":
             rid = detail["request"]
             if rid in accesses:
-                out.append(Violation("mediation-completeness", f"duplicate access request id {rid}", t, node))
+                flag("mediation-completeness", f"duplicate access request id {rid}", t, node)
             accesses[rid] = (t, node)
         elif kind == "audit":
             rid = detail["request"]
             if rid in audited:
-                out.append(Violation("mediation-completeness", f"request {rid} audited twice", t, node))
+                flag("mediation-completeness", f"request {rid} audited twice", t, node)
             audited.add(rid)
             if rid not in accesses:
-                out.append(Violation("mediation-completeness", f"audit for unseen request {rid}", t, node))
+                flag("mediation-completeness", f"audit for unseen request {rid}", t, node)
+        elif kind == "summary" and topology is not None:
+            cluster = detail["cluster"]
+            if node not in topology.clusters.get(cluster, ()):
+                flag("hierarchy-soundness", f"summary for {cluster} from non-member", t, node)
+        elif kind == "global_view" and topology is not None and node not in topology.clusters[topology.root]:
+            flag("hierarchy-soundness", "global view entry outside the root cluster", t, node)
+        elif kind == "alert_operator":
+            alerted.add(detail.get("plan"))
+        elif kind == "plan_done" and not detail["ok"]:
+            need_alert.append((detail["plan"], f"failed plan {detail['plan']} raised no alert", t, node))
+        elif kind == "plan" and detail["actions"] == ["alert_operator"]:
+            need_alert.append((detail["plan"], f"alert-only plan {detail['plan']} never alerted", t, node))
+        elif kind == "module_error":
+            flag("module-errors", str(detail.get("error", "handler raised")), t, node)
+
     for rid, (t, node) in accesses.items():
         if rid not in audited:
-            out.append(Violation("mediation-completeness", f"access {rid} was never audited", t, node))
-    return out
-
-
-def _hierarchy_soundness(rows: list[Row], topology: ClusterTopology) -> list[Violation]:
-    out: list[Violation] = []
-    root_members = set(topology.clusters[topology.root])
-    for t, kind, node, detail in rows:
-        if kind == "summary":
-            cluster = detail["cluster"]
-            members = topology.clusters.get(cluster)
-            if members is None or node not in members:
-                out.append(Violation("hierarchy-soundness", f"summary for {cluster} from non-member", t, node))
-        elif kind == "global_view" and node not in root_members:
-            out.append(Violation("hierarchy-soundness", "global view entry outside the root cluster", t, node))
-    return out
-
-
-def _alert_totality(rows: list[Row]) -> list[Violation]:
-    out: list[Violation] = []
-    alerts_by_plan = {detail.get("plan") for _, kind, _, detail in rows if kind == "alert_operator"}
-    for t, kind, node, detail in rows:
-        if kind == "plan_done" and not detail["ok"]:
-            if detail["plan"] not in alerts_by_plan:
-                out.append(Violation("alert-totality", f"failed plan {detail['plan']} raised no alert", t, node))
-        elif kind == "plan" and detail["actions"] == ["alert_operator"]:
-            if detail["plan"] not in alerts_by_plan:
-                out.append(Violation("alert-totality", f"alert-only plan {detail['plan']} never alerted", t, node))
-    return out
-
-
-def _module_errors(rows: list[Row]) -> list[Violation]:
-    return [
-        Violation("module-errors", str(detail.get("error", "handler raised")), t, node)
-        for t, kind, node, detail in rows
-        if kind == "module_error"
-    ]
-
-
-def verify_trace(
-    entries: Iterable[dict],
-    base_latency: int = 1,
-    topology: ClusterTopology | None = None,
-) -> list[Violation]:
-    """Run every applicable check; violations come back in check order."""
-    rows = trace_rows(entries)
-    out: list[Violation] = []
-    out.extend(_crash_isolation(rows))
-    out.extend(_causality(rows, base_latency))
-    out.extend(_exactly_once(rows))
-    out.extend(_suspicion_transitions(rows))
-    out.extend(_mediation_completeness(rows))
-    if topology is not None:
-        out.extend(_hierarchy_soundness(rows, topology))
-    out.extend(_alert_totality(rows))
-    out.extend(_module_errors(rows))
-    return out
+            flag("mediation-completeness", f"access {rid} was never audited", t, node)
+    for plan, message, t, node in need_alert:
+        if plan not in alerted:
+            flag("alert-totality", message, t, node)
+    return [v for violations in found.values() for v in violations]

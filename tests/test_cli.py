@@ -154,6 +154,16 @@ def test_run_rejects_deeply_nested_scenario(tmp_path, depth):
     assert proc.stderr == "scenario error: file: line 1: nested deeper than 64 levels\n"
 
 
+def test_run_names_the_scenario_file_in_a_syntax_error(tmp_path, capsys):
+    bad = tmp_path / "broken.yaml"
+    bad.write_text("until: [unclosed\n")
+    assert main(["run", "--scenario", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f'scenario error: file: not valid YAML/JSON: while parsing a flow sequence in "{bad}", line 1')
+    assert captured.err.count("\n") == 1
+
+
 def test_run_rejects_missing_file(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.yaml")]) == 2
 

@@ -3,6 +3,7 @@ telemetry shorthand, and the error paths with their field locations."""
 
 import copy
 import json
+import math
 import re
 import textwrap
 from functools import partial
@@ -454,11 +455,57 @@ def test_load_defaults_name_to_filename(tmp_path):
     assert load_scenario(str(path)).name == "my-case"
 
 
+def assert_names_the_file(exc, path):
+    assert f'in "{path}", line 1, column 8' in exc.value.message
+    assert "<unicode string>" not in exc.value.message
+
+
 def test_load_reports_yaml_syntax_error(tmp_path):
+    # The nesting check's event parse meets this one first.
     path = tmp_path / "broken.yaml"
     path.write_text("until: [unclosed\n")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="^file: not valid YAML/JSON: while parsing a flow sequence [^\n]*$") as exc:
         load_scenario(str(path))
+    assert_names_the_file(exc, path)
+
+
+@pytest.mark.parametrize("text", ["until: *nowhere\n", "until: !!python/name:os.system x\n"], ids=["alias", "tag"])
+def test_load_reports_composer_errors_at_the_file(tmp_path, text):
+    # Parser events pass these; composing the document fails.
+    path = tmp_path / "broken.yaml"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match="^file: not valid YAML/JSON: [^\n]*$") as exc:
+        load_scenario(str(path))
+    assert_names_the_file(exc, path)
+
+
+def test_cluster_pairs_are_bounded(tmp_path):
+    # Every node keeps state for each member of its cluster, so a
+    # topology costs memory in the sum of its cluster sizes squared.
+    limit = scenario.MAX_CLUSTER_PAIRS
+    side = math.isqrt(limit)
+    assert side * side == limit
+
+    def nodes(n, prefix="n"):
+        return [f"{prefix}{i}" for i in range(n)]
+
+    at_limit = parse_scenario(minimal(clusters=[{"id": "c0", "nodes": nodes(side)}]))
+    assert len(at_limit.topology.nodes()) == side
+    e = err(minimal(clusters=[{"id": "c0", "nodes": nodes(side + 1)}]))
+    assert e.path == "clusters"
+    assert e.message == f"clusters would hold {(side + 1) ** 2} (node, member) pairs, above the limit of {limit}"
+    # The bound is on the sum over clusters: two clusters, each well
+    # inside it alone, exceed it together.
+    half = math.isqrt(limit // 2) + 1
+    assert half * half < limit < 2 * half * half
+    split = [{"id": "c0", "nodes": nodes(half, "a")}, {"id": "c1", "nodes": nodes(half, "b"), "parent": "c0"}]
+    assert f"hold {2 * half * half} (node, member) pairs" in err(minimal(clusters=split)).message
+    # A small file listing many nodes in one cluster fails to load
+    # instead of asking the simulator for about 1 KB per pair.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(minimal(clusters=[{"id": "c0", "nodes": nodes(10_000)}])))
+    with pytest.raises(ScenarioError, match=r"^clusters: clusters would hold 100000000 \(node, member\) pairs"):
+        load_scenario(path)
 
 
 def test_scenario_error_message_carries_path():

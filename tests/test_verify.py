@@ -1,12 +1,14 @@
 """Trace invariant checks: clean runs pass, corrupted traces are caught
 by the right check."""
 
+from collections import namedtuple
+
 from conftest import base_scenario, run
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depsim.metrics import compute_metrics
-from depsim.tracing import TraceRecorder, dump_jsonl, load_jsonl
+from depsim.tracing import TraceRecorder, detail_field, dump_jsonl, load_jsonl, trace_rows
 from depsim.verify import verify_trace
 
 
@@ -431,3 +433,282 @@ def mutated_runs(draw):
 def test_mutated_traces_give_same_verdict_on_rows(tmp_path_factory, case):
     scn, view = case
     assert_rows_agree_with_dicts(view, scn, tmp_path_factory.mktemp("rows"))
+
+
+# --- one pass against the nine-pass reference --------------------------------------------
+#
+# The checks as they were before verify_trace became one pass: one replay
+# of the rows per check, two in _ref_alert_totality, and a crash handler
+# in each of the three checks that forget a crashed node's state.
+
+_RefViolation = namedtuple("_RefViolation", "check message at node")
+
+
+def _ref_crash_isolation(rows):
+    out = []
+    crashed = set()
+    for t, kind, node, _ in rows:
+        if kind == "crash":
+            crashed.add(node)
+            continue
+        if kind == "recover":
+            crashed.discard(node)
+            continue
+        if node in crashed and kind != "drop":
+            out.append(_RefViolation("crash-isolation", f"{kind} entry from crashed node", t, node))
+    return out
+
+
+def _ref_causality(rows, base_latency):
+    out = []
+    sent_at = {}
+    delivered = set()
+    for t, kind, node, detail in rows:
+        if kind == "send":
+            sent_at[detail_field(kind, detail, "msg_id")] = t
+        elif kind == "deliver":
+            msg_id = detail_field(kind, detail, "msg_id")
+            send_t = sent_at.get(msg_id)
+            if send_t is None:
+                out.append(_RefViolation("causality", f"delivery of msg_id {msg_id} without a prior send", t, node))
+                continue
+            if msg_id in delivered:
+                out.append(_RefViolation("causality", f"msg_id {msg_id} delivered twice", t, node))
+                continue
+            delivered.add(msg_id)
+            claimed = detail_field(kind, detail, "sent_at")
+            if claimed != send_t:
+                out.append(_RefViolation("causality", f"msg_id {msg_id} sent_at {claimed} != send time {send_t}", t, node))
+            elif t < send_t + base_latency:
+                message = f"msg_id {msg_id} delivered after {t - send_t} ticks, base latency is {base_latency}"
+                out.append(_RefViolation("causality", message, t, node))
+    return out
+
+
+def _ref_exactly_once(rows):
+    out = []
+    applied = {}
+    for t, kind, node, detail in rows:
+        if kind == "crash":
+            applied.pop(node, None)
+        elif kind == "notice_applied":
+            notice = detail["notice"]
+            seen = applied.setdefault(node, set())
+            if notice in seen:
+                out.append(_RefViolation("exactly-once", f"notice {notice} applied twice at the same node", t, node))
+            seen.add(notice)
+    return out
+
+
+_REF_LEGAL = {
+    ("alive", "suspect"): "suspected",
+    ("suspected", "refute"): "alive",
+    ("suspected", "remove"): "removed",
+    ("removed", "refute"): "alive",
+}
+
+
+def _ref_suspicion_transitions(rows):
+    out = []
+    state = {}
+    for t, kind, node, detail in rows:
+        if kind == "crash":
+            for key in [k for k in state if k[0] == node]:
+                del state[key]
+            continue
+        if kind not in ("suspect", "refute", "remove"):
+            continue
+        key = (node, detail["peer"])
+        cur = state.get(key, "alive")
+        nxt = _REF_LEGAL.get((cur, kind))
+        if nxt is None:
+            out.append(_RefViolation("suspicion-transitions", f"{kind} on peer {key[1]} while {cur}", t, node))
+            nxt = {"suspect": "suspected", "refute": "alive", "remove": "removed"}[kind]
+        state[key] = nxt
+    return out
+
+
+def _ref_mediation_completeness(rows):
+    out = []
+    accesses = {}
+    audited = set()
+    for t, kind, node, detail in rows:
+        if kind == "access":
+            rid = detail["request"]
+            if rid in accesses:
+                out.append(_RefViolation("mediation-completeness", f"duplicate access request id {rid}", t, node))
+            accesses[rid] = (t, node)
+        elif kind == "audit":
+            rid = detail["request"]
+            if rid in audited:
+                out.append(_RefViolation("mediation-completeness", f"request {rid} audited twice", t, node))
+            audited.add(rid)
+            if rid not in accesses:
+                out.append(_RefViolation("mediation-completeness", f"audit for unseen request {rid}", t, node))
+    for rid, (t, node) in accesses.items():
+        if rid not in audited:
+            out.append(_RefViolation("mediation-completeness", f"access {rid} was never audited", t, node))
+    return out
+
+
+def _ref_hierarchy_soundness(rows, topology):
+    out = []
+    root_members = set(topology.clusters[topology.root])
+    for t, kind, node, detail in rows:
+        if kind == "summary":
+            cluster = detail["cluster"]
+            members = topology.clusters.get(cluster)
+            if members is None or node not in members:
+                out.append(_RefViolation("hierarchy-soundness", f"summary for {cluster} from non-member", t, node))
+        elif kind == "global_view" and node not in root_members:
+            out.append(_RefViolation("hierarchy-soundness", "global view entry outside the root cluster", t, node))
+    return out
+
+
+def _ref_alert_totality(rows):
+    out = []
+    alerts_by_plan = {detail.get("plan") for _, kind, _, detail in rows if kind == "alert_operator"}
+    for t, kind, node, detail in rows:
+        if kind == "plan_done" and not detail["ok"]:
+            if detail["plan"] not in alerts_by_plan:
+                out.append(_RefViolation("alert-totality", f"failed plan {detail['plan']} raised no alert", t, node))
+        elif kind == "plan" and detail["actions"] == ["alert_operator"]:
+            if detail["plan"] not in alerts_by_plan:
+                out.append(_RefViolation("alert-totality", f"alert-only plan {detail['plan']} never alerted", t, node))
+    return out
+
+
+def _ref_module_errors(rows):
+    return [
+        _RefViolation("module-errors", str(detail.get("error", "handler raised")), t, node)
+        for t, kind, node, detail in rows
+        if kind == "module_error"
+    ]
+
+
+def ref_verify_trace(entries, base_latency=1, topology=None):
+    rows = trace_rows(entries)
+    out = []
+    out.extend(_ref_crash_isolation(rows))
+    out.extend(_ref_causality(rows, base_latency))
+    out.extend(_ref_exactly_once(rows))
+    out.extend(_ref_suspicion_transitions(rows))
+    out.extend(_ref_mediation_completeness(rows))
+    if topology is not None:
+        out.extend(_ref_hierarchy_soundness(rows, topology))
+    out.extend(_ref_alert_totality(rows))
+    out.extend(_ref_module_errors(rows))
+    return out
+
+
+def as_tuples(violations):
+    """Violations as (check, message, at, node); the reference has its own
+    violation type."""
+    return [(v.check, v.message, v.at, v.node) for v in violations]
+
+
+def assert_matches_reference(view, base_latency, topology):
+    for topo in (None, topology):
+        assert as_tuples(verify_trace(view, base_latency, topo)) == as_tuples(ref_verify_trace(view, base_latency, topo))
+
+
+_TOPOLOGY = base_scenario(
+    clusters=[{"id": "top", "nodes": ["a", "b", "c"], "parent": None}, {"id": "leaf", "nodes": ["x", "y"], "parent": "top"}],
+    containers=[],
+    services=[],
+).topology
+_NODES = ["a", "b", "c", "x", "y", None]
+
+
+def _ids(prefix):
+    return st.sampled_from([f"{prefix}{i}" for i in range(3)])
+
+
+@st.composite
+def random_rows(draw):
+    """Rows of every kind a check reads, plus drops and a kind no check
+    reads, over small pools of nodes, message, notice, request and plan
+    ids so that ids repeat. Crashes and recovers interleave freely (a node
+    may crash twice or recover while up), plans, their outcomes and
+    alerts come in any order, summaries may name a cluster the topology
+    lacks, and send/deliver details are tuples or mappings, with or
+    without sent_at."""
+    node = st.sampled_from(_NODES)
+    msg_id = st.integers(0, 4)
+    details = {
+        "crash": st.just({}),
+        "recover": st.just({}),
+        "drop": st.builds(lambda m: {"reason": "loss", "src": "a", "msg": "M", "msg_id": m}, msg_id),
+        "send": st.one_of(
+            st.tuples(node, st.just("M"), msg_id),
+            st.builds(lambda d, m: {"dst": d, "msg": "M", "msg_id": m}, node, msg_id),
+        ),
+        "deliver": st.one_of(
+            st.tuples(node, st.just("M"), msg_id, st.integers(0, 30)),
+            st.builds(lambda s, m: {"src": s, "msg": "M", "msg_id": m}, node, msg_id),
+        ),
+        "notice_applied": st.fixed_dictionaries({"notice": _ids("n"), "origin": st.booleans()}),
+        "suspect": st.fixed_dictionaries({"peer": node}),
+        "refute": st.fixed_dictionaries({"peer": node, "rejoin": st.booleans()}),
+        "remove": st.fixed_dictionaries({"peer": node}),
+        "access": st.fixed_dictionaries({"request": _ids("r")}),
+        "audit": st.fixed_dictionaries({"request": _ids("r")}),
+        "summary": st.fixed_dictionaries({"cluster": st.sampled_from(["top", "leaf", "nowhere"])}),
+        "global_view": st.fixed_dictionaries({"peer": node}),
+        "alert_operator": st.fixed_dictionaries({"plan": _ids("p")}),
+        "plan": st.fixed_dictionaries(
+            {"plan": _ids("p"), "actions": st.sampled_from([["alert_operator"], ["restart"], ["restart", "alert_operator"]])}
+        ),
+        "plan_done": st.fixed_dictionaries({"plan": _ids("p"), "ok": st.booleans()}),
+        "module_error": st.one_of(st.just({}), st.fixed_dictionaries({"error": st.just("boom")})),
+        "invoke_done": st.just({"container": "store", "outcome": "success"}),
+    }
+    t, rows = 0, []
+    for _ in range(draw(st.integers(0, 40))):
+        t += draw(st.integers(0, 3))
+        kind = draw(st.sampled_from(sorted(details)))
+        rows.append((t, kind, draw(node), draw(details[kind])))
+    return rows, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_rows())
+@example(([(5, "plan_done", "a", {"plan": "p1", "ok": False}), (6, "alert_operator", "a", {"plan": "p1"})], 1))  # alert after its plan
+@example(  # a duplicated access id that is never audited
+    ([(1, "access", "a", {"request": "r1"}), (2, "access", "b", {"request": "r2"}), (3, "access", "c", {"request": "r1"})], 1)
+)
+@example(  # a notice re-applied after a crash
+    (
+        [
+            (5, "notice_applied", "b", {"notice": "n1", "origin": False}),
+            (7, "crash", "b", {}),
+            (8, "recover", "b", {}),
+            (12, "notice_applied", "b", {"notice": "n1", "origin": False}),
+        ],
+        1,
+    )
+)
+@example(  # an observer crashes with a suspicion open
+    (
+        [
+            (10, "suspect", "a", {"peer": "b"}),
+            (15, "crash", "a", {}),
+            (20, "recover", "a", {}),
+            (30, "suspect", "a", {"peer": "b"}),
+            (31, "remove", "a", {"peer": "b"}),
+        ],
+        1,
+    )
+)
+def test_one_pass_matches_nine_pass_reference_on_random_rows(case):
+    rows, base_latency = case
+    rec = TraceRecorder()
+    rec.rows.extend(rows)
+    assert_matches_reference(rec.entries, base_latency, _TOPOLOGY)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_runs())
+def test_one_pass_matches_nine_pass_reference_on_mutated_runs(case):
+    scn, view = case
+    assert_matches_reference(view, scn.base_latency, scn.topology)
