@@ -18,7 +18,7 @@ from pathlib import Path
 from .metrics import compute_metrics
 from .run import SimulationRun
 from .scenario import ScenarioError, load_scenario
-from .tracing import MalformedTrace, dump_jsonl, load_jsonl
+from .tracing import MalformedTrace, dump_jsonl, read_rows
 from .verify import verify_trace
 
 
@@ -104,17 +104,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return 2
         base_latency = scenario.base_latency
         topology = scenario.topology
+    entries = 0
+
+    def counted(rows):
+        nonlocal entries
+        for entries, row in enumerate(rows, start=1):
+            yield row
+
+    # The file streams through the checks; a bad line anywhere in it ends
+    # the command before any violation is printed.
     try:
-        entries = load_jsonl(args.trace)
+        violations = verify_trace(counted(read_rows(args.trace)), base_latency, topology)
     except (OSError, MalformedTrace) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    violations = verify_trace(entries, base_latency, topology)
     if violations:
         _print_violations(violations)
         return 3
     if not args.quiet:
-        print(f"verify: ok ({len(entries)} entries)")
+        print(f"verify: ok ({entries} entries)")
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .scenario import Scenario
-from .tracing import trace_rows
+from .tracing import detail_field, trace_rows
 
 
 def _holds(rec: dict, t: int) -> bool:
@@ -30,7 +30,7 @@ def _down_at(crashes: list[dict], node: str, t: int) -> dict | None:
     return None
 
 
-def compute_metrics(entries: Iterable[dict], scenario: Scenario | None = None, warmup: int | None = None) -> dict:
+def compute_metrics(entries: Iterable, scenario: Scenario | None = None, warmup: int | None = None) -> dict:
     if warmup is None:
         warmup = scenario.detector.t_bootstrap if scenario is not None else 0
     topology = scenario.topology if scenario is not None else None
@@ -48,11 +48,11 @@ def compute_metrics(entries: Iterable[dict], scenario: Scenario | None = None, w
     views_by_peer: dict[str, list[int]] = {}
     removes: list[tuple[int, str]] = []
 
-    rows = trace_rows(entries)
-    for t, kind, node, detail in rows:
+    t = 0
+    for t, kind, node, detail in trace_rows(entries):
         counts[kind] = counts.get(kind, 0) + 1
         if kind == "drop":
-            reason = detail.get("reason", "?")
+            reason = detail_field(kind, detail, "reason", "?")
             drops[reason] = drops.get(reason, 0) + 1
         elif kind == "crash":
             crashes.append(
@@ -102,6 +102,7 @@ def compute_metrics(entries: Iterable[dict], scenario: Scenario | None = None, w
                 audits_allow += 1
             else:
                 audits_deny += 1
+    ticks = t  # the last row's
 
     # Settled against the final crash records: a crash or recover entry
     # may follow a suspect or remove entry of the same tick.
@@ -140,8 +141,8 @@ def compute_metrics(entries: Iterable[dict], scenario: Scenario | None = None, w
 
     return {
         "scenario": scenario.name if scenario is not None else None,
-        "ticks": rows[-1][0] if rows else 0,
-        "events": len(rows),
+        "ticks": ticks,
+        "events": sum(counts.values()),
         "messages": {
             "sends": counts.get("send", 0),
             "delivers": counts.get("deliver", 0),

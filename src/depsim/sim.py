@@ -235,7 +235,7 @@ class Simulator:
         if loss > 0.0 or network.jitter:
             net = self.rng.stream(src, "net")
             if loss > 0.0 and net.random() < loss:
-                self.trace.record(now, "drop", dst, {"reason": "loss", "src": src, "msg": kind, "msg_id": msg_id})
+                self.trace.drop(now, dst, "loss", src, kind, msg_id)
                 return
             if network.jitter:
                 delay += net.randrange(network.jitter + 1)
@@ -281,14 +281,10 @@ class Simulator:
         kind = getattr(msg, "kind", type(msg).__name__)
         handle = self.nodes[dst]
         if not handle.up:
-            self.trace.record(
-                self.now, "drop", dst, {"reason": "target_crashed", "src": src, "msg": kind, "msg_id": msg_id}
-            )
+            self.trace.drop(self.now, dst, "target_crashed", src, kind, msg_id)
             return
         if self.network.partitions and self.network.separated(src, dst, self.now):
-            self.trace.record(
-                self.now, "drop", dst, {"reason": "partition", "src": src, "msg": kind, "msg_id": msg_id}
-            )
+            self.trace.drop(self.now, dst, "partition", src, kind, msg_id)
             return
         self.trace.deliver(self.now, dst, src, kind, msg_id, sent_at)
         handler = self._message_handlers.get(dst)

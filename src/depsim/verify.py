@@ -72,10 +72,12 @@ class Violation:
 
 
 def verify_trace(
-    entries: Iterable[dict], base_latency: int = 1, topology: ClusterTopology | None = None
+    entries: Iterable, base_latency: int = 1, topology: ClusterTopology | None = None
 ) -> list[Violation]:
-    """Run every applicable check in one pass; violations come back in
-    check order, each check's in trace order."""
+    """Run every applicable check in one pass over the trace's rows (any
+    form :func:`~depsim.tracing.trace_rows` takes, a file's streamed rows
+    included); violations come back in check order, each check's in
+    trace order."""
     found: dict[str, list[Violation]] = {check: [] for check in _CHECKS}
 
     def flag(check: str, message: str, t: int, node: str | None) -> None:

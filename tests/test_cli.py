@@ -202,6 +202,35 @@ def test_verify_flags_corrupted_trace(scenario_file, tmp_path, capsys):
     assert "violation causality:" in err
 
 
+def test_verify_counts_the_entries_of_the_file(scenario_file, tmp_path, capsys):
+    trace_path = tmp_path / "out.jsonl"
+    main(["run", "--scenario", scenario_file, "--trace-out", str(trace_path), "--quiet"])
+    lines = trace_path.read_text().splitlines()
+    trace_path.write_text("\n".join(lines[:5] + [""] + lines[5:]) + "\n")  # a blank line is no entry
+    assert main(["verify", "--trace", str(trace_path)]) == 0
+    assert capsys.readouterr().out == f"verify: ok ({len(lines)} entries)\n"
+
+
+def test_verify_reports_a_malformed_last_line_not_earlier_violations(scenario_file, tmp_path, capsys):
+    """The trace streams through the checks, but a bad line anywhere
+    makes the file unusable: exit 2 and no violation is printed."""
+    trace_path = tmp_path / "out.jsonl"
+    main(["run", "--scenario", scenario_file, "--trace-out", str(trace_path), "--quiet"])
+    lines = trace_path.read_text().splitlines()
+    first_send = next(i for i, ln in enumerate(lines) if '"kind":"send"' in ln)
+    del lines[first_send]  # its delivery now breaks causality early on
+    lines.append('{"t": 999, "seq": 0, "kind": "x"')
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--trace", str(trace_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"trace error: line {len(lines)}: ")
+    assert "violation" not in captured.err and captured.out == ""
+    del lines[-1]
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--trace", str(trace_path)]) == 3
+    assert "violation causality:" in capsys.readouterr().err
+
+
 def test_verify_rejects_garbage_trace(tmp_path, capsys):
     garbage = tmp_path / "garbage.jsonl"
     garbage.write_text("this is not json\n")

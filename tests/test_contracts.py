@@ -1,8 +1,11 @@
-"""Metamorphic checks of two determinism contracts at scenario level:
-a run split at arbitrary ``run_until`` cuts writes the same JSONL bytes
-as one run, and metrics and verify give the same results on the
-in-memory trace and on its JSONL round trip."""
+"""Metamorphic checks of three contracts at scenario level: a run split
+at arbitrary ``run_until`` cuts writes the same JSONL bytes as one run;
+the rows read back from the JSONL file equal the recorder's, tuple
+details included; and metrics and verify give the same results on the
+in-memory trace, on its JSONL round trip as dicts and on the rows
+streamed from the file."""
 
+import json
 import random
 from pathlib import Path
 
@@ -10,13 +13,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_perfbench import load
-from test_verify import random_runs
+from test_verify import mutated_runs, random_runs
 
 from depsim.metrics import compute_metrics
 from depsim.run import SimulationRun
 from depsim.scenario import parse_scenario
-from depsim.tracing import dump_jsonl, dumps_jsonl, load_jsonl
+from depsim.tracing import dump_jsonl, dumps_jsonl, load_jsonl, read_rows
 from depsim.verify import verify_trace
+
+
+def check_file_contracts(view, scn, path):
+    """Rows read back from the view's JSONL file equal its rows, and the
+    checks and the report agree on the view, the loaded dicts and the
+    streamed rows."""
+    dump_jsonl(view, path)
+    assert list(read_rows(path)) == view.rows
+    expected = verify_trace(view, scn.base_latency, scn.topology)
+    report = compute_metrics(view, scn)
+    for read in (load_jsonl, read_rows):
+        assert verify_trace(read(path), scn.base_latency, scn.topology) == expected
+        assert compute_metrics(read(path), scn) == report
+    return expected
 
 
 def check_contracts(scn, seed, cuts, tmp_dir):
@@ -27,13 +44,7 @@ def check_contracts(scn, seed, cuts, tmp_dir):
     split.run()
     assert dumps_jsonl(split.trace) == dumps_jsonl(whole.trace)
 
-    path = str(Path(tmp_dir) / "trace.jsonl")
-    dump_jsonl(whole.trace, path)
-    loaded = load_jsonl(path)
-    assert compute_metrics(loaded, scn) == compute_metrics(whole.trace, scn)
-    assert verify_trace(loaded, scn.base_latency, scn.topology) == verify_trace(
-        whole.trace, scn.base_latency, scn.topology
-    )
+    check_file_contracts(whole.trace, scn, str(Path(tmp_dir) / "trace.jsonl"))
 
 
 @settings(max_examples=25, deadline=None)
@@ -48,3 +59,39 @@ def test_heal_mix_keeps_determinism_contracts(tmp_path, seed):
     scn = parse_scenario(load("healmix").generate(seed))
     cuts = random.Random(seed).sample(range(scn.until + 1), 5)
     check_contracts(scn, seed, cuts, tmp_path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_runs())
+def test_mutated_runs_stream_like_they_load(tmp_path_factory, case):
+    scn, view = case
+    path = str(tmp_path_factory.mktemp("stream") / "trace.jsonl")
+    assert check_file_contracts(view, scn, path), "the trace should break at least one check"
+
+
+def test_detail_off_its_layout_stays_a_mapping_with_the_same_verdict(tmp_path):
+    """Only a detail whose keys are exactly its kind's layout, in order,
+    becomes a tuple; reordered keys or an extra key keep the mapping."""
+    details = [
+        (1, "send", "a", {"dst": "b", "msg": "M", "msg_id": 1}),
+        (2, "deliver", "b", {"src": "a", "msg": "M", "msg_id": 1, "sent_at": 1}),
+        (3, "send", "a", {"msg_id": 2, "dst": "b", "msg": "M"}),
+        (4, "deliver", "b", {"src": "a", "msg": "M", "msg_id": 2, "sent_at": 2, "hop": 1}),
+        (5, "deliver", "c", {"msg": "M", "src": "a", "msg_id": 2, "sent_at": 3}),
+        (6, "drop", "c", {"src": "a", "reason": "loss", "msg": "M", "msg_id": 3}),
+        (7, "drop", "c", {"reason": "partition", "src": "a", "msg": "M", "msg_id": 4}),
+    ]
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(
+        json.dumps({"t": t, "seq": seq, "kind": kind, "node": node, "detail": detail}) + "\n"
+        for seq, (t, kind, node, detail) in enumerate(details)
+    ))
+    rows = list(read_rows(str(path)))
+    assert [type(row[3]) for row in rows] == [tuple, tuple, dict, dict, dict, dict, tuple]
+    assert rows[2:6] == details[2:6]
+    verdict = verify_trace(load_jsonl(str(path)))
+    assert [v.message for v in verdict] == ["msg_id 2 sent_at 2 != send time 3", "msg_id 2 delivered twice"]
+    assert verify_trace(read_rows(str(path))) == verdict
+    report = compute_metrics(read_rows(str(path)))
+    assert report == compute_metrics(load_jsonl(str(path)))
+    assert report["messages"]["drops"] == {"loss": 1, "partition": 1}

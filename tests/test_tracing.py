@@ -2,6 +2,8 @@ import json
 
 import pytest
 from conftest import base_scenario
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from depsim.run import SimulationRun
 from depsim.tracing import (
@@ -131,13 +133,24 @@ def test_view_is_live_and_seq_is_row_index_across_split_runs():
 
 
 def test_simulator_holds_send_and_deliver_details_as_tuples():
-    rows = SimulationRun(base_scenario(until=120), seed=5).run().sim.trace.rows
+    """send, deliver and drop details are tuples; on a lossy network with
+    a crash, drops for loss and for the crashed target both appear."""
+    faults = [{"kind": "crash", "node": "b", "at": 60}]
+    scn = base_scenario(until=120, network={"base_latency": 1, "jitter": 0, "loss": 0.2}, faults=faults)
+    rows = SimulationRun(scn, seed=5).run().sim.trace.rows
     sends = [row for row in rows if row[1] == "send"]
     delivers = [row for row in rows if row[1] == "deliver"]
+    drops = [row for row in rows if row[1] == "drop"]
     assert sends and delivers
+    assert {row[3][0] for row in drops} == {"loss", "target_crashed"}
     assert all(type(row[3]) is tuple and len(row[3]) == 3 for row in sends)
-    assert all(type(row[3]) is tuple and len(row[3]) == 4 for row in delivers)
-    assert all(type(row[3]) is dict for row in rows if row[1] not in ("send", "deliver"))
+    assert all(type(row[3]) is tuple and len(row[3]) == 4 for row in delivers + drops)
+    assert all(type(row[3]) is dict for row in rows if row[1] not in ("send", "deliver", "drop"))
+    reason, src, msg, msg_id = drops[0][3]
+    expanded = detail_dict("drop", drops[0][3])
+    assert list(expanded.items()) == [("reason", reason), ("src", src), ("msg", msg), ("msg_id", msg_id)]
+    assert detail_field("drop", drops[0][3], "reason") == reason
+    assert detail_field("drop", {}, "reason", "?") == "?"
     # The dicts the simulator recorded before, key order included.
     dst, msg, msg_id = sends[0][3]
     assert list(detail_dict("send", sends[0][3]).items()) == [("dst", dst), ("msg", msg), ("msg_id", msg_id)]
@@ -177,6 +190,8 @@ def test_trace_rows_of_view_and_of_dicts():
     rec = recorded()
     assert trace_rows(rec.entries) is rec.rows
     assert trace_rows(list(rec.entries)) == rec.rows
+    rows = iter(rec.rows)
+    assert trace_rows(rows) is rows
 
 
 def test_dumps_matches_encoding_of_plain_entry_dicts():
@@ -192,3 +207,56 @@ def test_dumps_matches_encoding_of_plain_entry_dicts():
     expected = "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in old)
     assert dumps_jsonl(rec.entries) == expected
     assert dumps_jsonl(old) == expected
+
+
+# --- the row writer against the JSON encoding of the entry dicts ----------------------
+
+# Characters the escaping must get right, beside any code point at all
+# (lone surrogates included).
+_TRICKY = st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "\ud800", "\udfff", "😀"])
+_text = st.text(st.one_of(_TRICKY, st.characters(blacklist_categories=())), max_size=8)
+_big = st.one_of(st.integers(0, 50), st.integers(-(2**70), 2**70))
+_json = st.recursive(
+    st.none() | st.booleans() | _big | st.floats(allow_nan=False) | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def recorded_rows(draw):
+    """A recorder holding rows of every form: tuple details through send,
+    deliver and drop, mappings under those kinds and under any other."""
+    rec = TraceRecorder()
+    for _ in range(draw(st.integers(0, 12))):
+        t, form = draw(_big), draw(st.sampled_from(["send", "deliver", "drop", "mapping", "other"]))
+        if form == "send":
+            rec.send(t, draw(_text), draw(_text), draw(_text), draw(_big))
+        elif form == "deliver":
+            rec.deliver(t, draw(_text), draw(_text), draw(_text), draw(_big), draw(_big))
+        elif form == "drop":
+            rec.drop(t, draw(_text), draw(_text), draw(_text), draw(_text), draw(_big))
+        else:
+            kind = draw(st.sampled_from(["send", "deliver", "drop"])) if form == "mapping" else draw(_text)
+            rec.record(t, kind, draw(st.none() | _text), draw(st.dictionaries(_text, _json, max_size=4)))
+    return rec
+
+
+def mapping_details():
+    """Mappings under the kinds whose details are usually tuples."""
+    rec = TraceRecorder()
+    rec.record(5, "send", "a", {"dst": "b"})
+    rec.record(6, "drop", "b", {"msg_id": 1, "reason": "loss"})
+    return rec
+
+
+@settings(max_examples=150, deadline=None)
+@given(recorded_rows())
+@example(rec=mapping_details())
+def test_row_writer_matches_json_encoding_of_entry_dicts(tmp_path_factory, rec):
+    expected = "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in rec.entries)
+    assert dumps_jsonl(rec.entries) == expected
+    assert dumps_jsonl(list(rec.entries)) == expected
+    path = tmp_path_factory.mktemp("writer") / "trace.jsonl"
+    dump_jsonl(rec.entries, str(path))
+    assert path.read_text(encoding="ascii") == expected
