@@ -71,20 +71,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if path is not None and not Path(path).resolve().parent.is_dir():
             print(f"output error: {flag}: no directory for {path}", file=sys.stderr)
             return 2
+    if args.trace_out and args.metrics_out and Path(args.trace_out).resolve() == Path(args.metrics_out).resolve():
+        print("output error: --trace-out and --metrics-out name the same file", file=sys.stderr)
+        return 2
 
     run = SimulationRun(scenario).run()
-    entries = run.trace
+    rows = run.trace
     if args.trace_out:
-        dump_jsonl(entries, args.trace_out)
+        dump_jsonl(rows, args.trace_out)
     if args.metrics_out:
-        report = compute_metrics(entries, scenario)
+        report = compute_metrics(rows, scenario)
         with open(args.metrics_out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=False)
             fh.write("\n")
     if not args.quiet:
-        print(f"scenario={scenario.name} seed={scenario.seed} until={scenario.until} events={len(entries)}")
+        print(f"scenario={scenario.name} seed={scenario.seed} until={scenario.until} events={len(rows)}")
     if args.verify:
-        violations = verify_trace(entries, scenario.base_latency, scenario.topology)
+        violations = verify_trace(rows, scenario.base_latency, scenario.topology)
         if violations:
             _print_violations(violations)
             return 3

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .scenario import Scenario
-from .tracing import detail_field, trace_rows
+from .tracing import Row, detail_field
 
 
 def _holds(rec: dict, t: int) -> bool:
@@ -30,7 +30,7 @@ def _down_at(crashes: list[dict], node: str, t: int) -> dict | None:
     return None
 
 
-def compute_metrics(entries: Iterable, scenario: Scenario | None = None, warmup: int | None = None) -> dict:
+def compute_metrics(rows: Iterable[Row], scenario: Scenario | None = None, warmup: int | None = None) -> dict:
     if warmup is None:
         warmup = scenario.detector.t_bootstrap if scenario is not None else 0
     topology = scenario.topology if scenario is not None else None
@@ -49,10 +49,11 @@ def compute_metrics(entries: Iterable, scenario: Scenario | None = None, warmup:
     removes: list[tuple[int, str]] = []
 
     t = 0
-    for t, kind, node, detail in trace_rows(entries):
+    for t, kind, node, detail in rows:
         counts[kind] = counts.get(kind, 0) + 1
         if kind == "drop":
-            reason = detail_field(kind, detail, "reason", "?")
+            reason = detail_field(kind, detail, "reason")
+            reason = reason if isinstance(reason, str) else "?"  # missing or not a string
             drops[reason] = drops.get(reason, 0) + 1
         elif kind == "crash":
             crashes.append(

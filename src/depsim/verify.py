@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .membership import ClusterTopology
-from .tracing import detail_field, trace_rows
+from .tracing import Row, detail_field
 
 _CHECKS = (
     "crash-isolation",
@@ -72,12 +72,11 @@ class Violation:
 
 
 def verify_trace(
-    entries: Iterable, base_latency: int = 1, topology: ClusterTopology | None = None
+    rows: Iterable[Row], base_latency: int = 1, topology: ClusterTopology | None = None
 ) -> list[Violation]:
-    """Run every applicable check in one pass over the trace's rows (any
-    form :func:`~depsim.tracing.trace_rows` takes, a file's streamed rows
-    included); violations come back in check order, each check's in
-    trace order."""
+    """Run every applicable check in one pass over the trace's rows, a
+    recorder's list or a file's streamed rows; violations come back in
+    check order, each check's in trace order."""
     found: dict[str, list[Violation]] = {check: [] for check in _CHECKS}
 
     def flag(check: str, message: str, t: int, node: str | None) -> None:
@@ -93,7 +92,7 @@ def verify_trace(
     alerted: set[str] = set()  # plans an alert_operator entry names
     need_alert: list[tuple[str, str, int, str | None]] = []  # (plan, message, t, node)
 
-    for t, kind, node, detail in trace_rows(entries):
+    for t, kind, node, detail in rows:
         if kind == "crash":
             crashed.add(node)
             applied.pop(node, None)

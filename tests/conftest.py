@@ -1,8 +1,11 @@
 """Shared helpers for end-to-end tests: a compact scenario builder and
 trace filters."""
 
+import json
+
 from depsim.run import SimulationRun
 from depsim.scenario import parse_scenario
+from depsim.tracing import dumps_jsonl
 
 
 def base_scenario(**overrides):
@@ -52,6 +55,11 @@ def run(scn, seed=0, **kw):
     return r
 
 
+def entries(rows):
+    """The entry dicts of a trace's rows, as the JSONL file holds them."""
+    return [json.loads(line) for line in dumps_jsonl(rows).splitlines()]
+
+
 class Entry:
     """Attribute view over a raw trace entry dict."""
 
@@ -67,7 +75,7 @@ class Entry:
 
 def kind(trace, k, node=None):
     return [
-        Entry(e) for e in trace if e["kind"] == k and (node is None or e["node"] == node)
+        Entry(e) for e in entries(trace) if e["kind"] == k and (node is None or e["node"] == node)
     ]
 
 

@@ -171,16 +171,16 @@ def test_exactly_once_propagation_under_loss():
     scn = load_scenario(SCENARIO_DIR / "partition-and-propagate.yaml")
     nodes = [f"n{i}" for i in range(1, 9)]
     for seed in SEEDS:
-        trace = trace_of(scn, seed)
-        created = [e["detail"]["notice"] for e in trace
-                   if e["kind"] == "notice_applied" and e["detail"]["origin"]]
+        rows = trace_of(scn, seed)
+        created = [detail["notice"] for _, k, _, detail in rows
+                   if k == "notice_applied" and detail["origin"]]
         assert len(created) == 2, f"seed {seed}"
         applied = {}
-        for e in trace:
-            if e["kind"] == "notice_applied":
-                key = (e["node"], e["detail"]["notice"])
+        for _, k, node, detail in rows:
+            if k == "notice_applied":
+                key = (node, detail["notice"])
                 applied[key] = applied.get(key, 0) + 1
-            assert e["kind"] != "propagation_incomplete", f"seed {seed}"
+            assert k != "propagation_incomplete", f"seed {seed}"
         for node in nodes:
             for notice in created:
                 assert applied.get((node, notice)) == 1, (seed, node, notice)
@@ -270,22 +270,20 @@ def test_crash_and_heal_downtime():
     scn = load_scenario(SCENARIO_DIR / "crash-and-heal.yaml")
     crash_at = 400
     for seed in SEEDS:
-        trace = trace_of(scn, seed)
-        kinds = {}
+        first = {}  # kind -> detail of its first row
         first_ok = None
-        for e in trace:
-            k, t = e["kind"], e["t"]
-            if k in ("diagnosis", "plan_done", "notice_applied") and k not in kinds:
-                kinds[k] = e
+        for t, k, _, detail in trace_of(scn, seed):
+            if k in ("diagnosis", "plan_done", "notice_applied") and k not in first:
+                first[k] = detail
             if k == "invoke_done":
-                issued = t - e["detail"]["latency"]
-                ok = e["detail"]["outcome"] == "success"
+                issued = t - detail["latency"]
+                ok = detail["outcome"] == "success"
                 if ok and t > crash_at and first_ok is None:
                     first_ok = t
                 if issued >= crash_at + HEAL_BY:
-                    assert ok, (seed, t, e["detail"])
-        assert kinds["diagnosis"]["detail"]["fault_class"] == "ServiceCrash"
-        assert kinds["plan_done"]["detail"]["ok"] is True
+                    assert ok, (seed, t, detail)
+        assert first["diagnosis"]["fault_class"] == "ServiceCrash"
+        assert first["plan_done"]["ok"] is True
         assert first_ok is not None and first_ok - crash_at <= HEAL_BY, (seed, first_ok)
 
 
@@ -296,7 +294,7 @@ def test_learned_pattern_fires_before_the_fault():
     path = SCENARIO_DIR / "learn-and-predict.yaml"
     fault_at = 640
     scn = load_scenario(path)
-    learned = [e["detail"] for e in trace_of(scn, 0) if e["kind"] == "pattern_learned"]
+    learned = [detail for _, k, _, detail in trace_of(scn, 0) if k == "pattern_learned"]
     assert learned, "first run mined nothing"
     mined = learned[0]
     assert mined["subject"] == "svc-front" and mined["metric"] == "latency_ms"
@@ -311,10 +309,10 @@ def test_learned_pattern_fires_before_the_fault():
                       "cmp": ">", "bound": mined["bound"], "min_consecutive": 2},
     })
     replay = parse_scenario(raw)
-    hits = [e for e in trace_of(replay, 0)
-            if e["kind"] == "diagnosis" and e["detail"]["subject"] == "svc-front"]
+    hits = [t for t, k, _, detail in trace_of(replay, 0)
+            if k == "diagnosis" and detail["subject"] == "svc-front"]
     assert hits, "replay produced no diagnosis"
-    assert hits[0]["t"] < fault_at, f"diagnosis at {hits[0]['t']}, fault at {fault_at}"
+    assert hits[0] < fault_at, f"diagnosis at {hits[0]}, fault at {fault_at}"
 
 
 def test_verify_passes_bundles_and_catches_corruptions(tmp_path, capsys):

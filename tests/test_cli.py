@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from depsim.cli import main
-from depsim.tracing import load_jsonl
+from depsim.tracing import read_rows
 
 SCENARIO = """
 name: cli-case
@@ -76,11 +76,11 @@ def test_run_writes_trace_and_metrics(scenario_file, tmp_path, capsys):
         ]
     )
     assert code == 0
-    entries = load_jsonl(str(trace_path))
-    assert entries and entries[0]["seq"] == 0
+    lines = trace_path.read_text().splitlines()
+    assert lines and json.loads(lines[0])["seq"] == 0
     report = json.loads(metrics_path.read_text())
     assert report["scenario"] == "cli-case"
-    assert report["events"] == len(entries)
+    assert report["events"] == len(lines) == len(list(read_rows(str(trace_path))))
     assert report["invocations"]["success"] > 0
 
 
@@ -139,6 +139,21 @@ def test_run_rejects_output_that_is_a_directory(scenario_file, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""  # no summary line: nothing was simulated
     assert captured.err == f"output error: {flag}: {tmp_path} is a directory\n"
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot-slash", "symlink"])
+def test_run_rejects_trace_and_metrics_in_one_file(scenario_file, tmp_path, capsys, monkeypatch, spelling):
+    """The report would overwrite the trace; the two outputs must name
+    different files however the second one is spelt."""
+    monkeypatch.chdir(tmp_path)
+    other = {"same": "out.jsonl", "dot-slash": "./out.jsonl", "symlink": "link.jsonl"}[spelling]
+    if spelling == "symlink":
+        (tmp_path / "link.jsonl").symlink_to(tmp_path / "out.jsonl")
+    assert main(["run", "--scenario", scenario_file, "--trace-out", "out.jsonl", "--metrics-out", other]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no summary line: nothing was simulated
+    assert captured.err == "output error: --trace-out and --metrics-out name the same file\n"
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 @pytest.mark.parametrize("depth", [2_000, 30_000])

@@ -3,16 +3,17 @@ ground truth for suspicion accuracy."""
 
 import json
 
-from conftest import base_scenario, details, kind, run
+from conftest import base_scenario, entries, kind, run
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depsim.metrics import compute_metrics
 from depsim.scenario import parse_scenario
+from depsim.tracing import dump_jsonl, read_rows
 
 
-def entry(t, kind_, node, seq=0, **detail):
-    return {"t": t, "seq": seq, "kind": kind_, "node": node, "detail": detail}
+def entry(t, kind_, node, **detail):
+    return (t, kind_, node, detail)
 
 
 def test_empty_trace():
@@ -70,16 +71,24 @@ def test_member_accounting_needs_topology():
     assert rec["members_silent"] == ["d"]  # a, c spoke; b is the crashed node
 
 
-def test_drop_reasons_and_counts():
+def test_drop_reasons_and_counts(tmp_path):
+    """A drop from a hand-written file may lack its reason or carry one
+    that is not a string; those count under "?"."""
     trace = [
         entry(1, "send", "a", dst="b", msg="M", msg_id=1),
         entry(2, "deliver", "b", src="a", msg="M", msg_id=1, sent_at=1),
         entry(3, "drop", "b", reason="loss", src="a", msg="M", msg_id=2),
         entry(4, "drop", "b", reason="target_crashed", src="a", msg="M", msg_id=3),
         entry(5, "drop", "b", reason="loss", src="a", msg="M", msg_id=4),
+        entry(6, "drop", "b", reason=["loss"], src="a", msg="M", msg_id=5),
+        entry(7, "drop", "b", reason=7, src="a", msg="M", msg_id=6),
+        entry(8, "drop", "b", src="a", msg="M", msg_id=7),
     ]
     rep = compute_metrics(trace)
-    assert rep["messages"] == {"sends": 1, "delivers": 1, "drops": {"loss": 2, "target_crashed": 1}}
+    assert rep["messages"] == {"sends": 1, "delivers": 1, "drops": {"?": 3, "loss": 2, "target_crashed": 1}}
+    path = tmp_path / "trace.jsonl"
+    dump_jsonl(trace, str(path))
+    assert compute_metrics(read_rows(str(path))) == rep
 
 
 def test_invocation_rollup():
@@ -204,7 +213,8 @@ def ref_compute_metrics(entries, scenario=None, warmup=None):
         counts[kind_] = counts.get(kind_, 0) + 1
         detail = e["detail"]
         if kind_ == "drop":
-            reason = detail.get("reason", "?")
+            reason = detail.get("reason")
+            reason = reason if isinstance(reason, str) else "?"
             drops[reason] = drops.get(reason, 0) + 1
         elif kind_ == "crash":
             crashes.append(
@@ -391,7 +401,7 @@ def membership_traces(draw):
         detail = {} if kind_ in ("crash", "recover") else {"peer": peer}
         if kind_ == "refute":
             detail["rejoin"] = flag
-        trace.append({"t": t, "seq": len(trace), "kind": kind_, "node": node, "detail": detail})
+        trace.append((t, kind_, node, detail))
     split = draw(st.integers(1, len(nodes)))
     clusters = [{"id": "c0", "nodes": nodes[:split]}]
     if split < len(nodes):
@@ -401,35 +411,31 @@ def membership_traces(draw):
     return trace, clusters if topology else None, warmup
 
 
-def _trace(*rows):
-    return [{"t": t, "seq": i, "kind": k, "node": n, "detail": d} for i, (t, k, n, d) in enumerate(rows)]
-
-
 _ONE_CLUSTER = [{"id": "c0", "nodes": ["n0", "n1", "n2"]}]
 
 
 @settings(max_examples=400, deadline=None)
 @given(membership_traces())
 @example(  # the crash follows the suspicion in the same tick: still true
-    (_trace((5, "suspect", "n0", {"peer": "n1"}), (5, "crash", "n1", {}), (5, "remove", "n2", {"peer": "n1"})), _ONE_CLUSTER, 0)
+    ([(5, "suspect", "n0", {"peer": "n1"}), (5, "crash", "n1", {}), (5, "remove", "n2", {"peer": "n1"})], _ONE_CLUSTER, 0)
 )
 @example(  # the recover follows the suspicion in the same tick: false
     (
-        _trace((2, "crash", "n1", {}), (7, "suspect", "n0", {"peer": "n1"}), (7, "recover", "n1", {}), (9, "suspect", "n2", {"peer": "n1"})),
+        [(2, "crash", "n1", {}), (7, "suspect", "n0", {"peer": "n1"}), (7, "recover", "n1", {}), (9, "suspect", "n2", {"peer": "n1"})],
         _ONE_CLUSTER,
         None,
     )
 )
 @example(  # two crashes open at the remove: the newer one is credited
-    (_trace((1, "crash", "n1", {}), (2, "crash", "n1", {}), (3, "remove", "n0", {"peer": "n1"})), None, None)
+    ([(1, "crash", "n1", {}), (2, "crash", "n1", {}), (3, "remove", "n0", {"peer": "n1"})], None, None)
 )
 def test_compute_metrics_matches_three_pass_reference(case):
-    trace, clusters, warmup = case
+    rows, clusters, warmup = case
     scenario = None
     if clusters is not None:
         scenario = parse_scenario({"until": 100, "clusters": clusters, "detector": {"t_bootstrap": 6}})
-    got = compute_metrics(trace, scenario, warmup)
-    want = ref_compute_metrics(trace, scenario, warmup)
+    got = compute_metrics(rows, scenario, warmup)
+    want = ref_compute_metrics(entries(rows), scenario, warmup)
     assert got == want
     assert json.dumps(got) == json.dumps(want)  # same key order in the written report
 

@@ -1,28 +1,20 @@
 import json
 
 import pytest
-from conftest import base_scenario
+from conftest import base_scenario, entries
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depsim.run import SimulationRun
-from depsim.tracing import (
-    MalformedTrace,
-    TraceRecorder,
-    detail_dict,
-    detail_field,
-    dump_jsonl,
-    dumps_jsonl,
-    load_jsonl,
-    trace_rows,
-)
+from depsim.tracing import MalformedTrace, TraceRecorder, detail_field, dump_jsonl, dumps_jsonl, read_rows
 
 
 def test_record_fixed_shape():
     rec = TraceRecorder()
     rec.record(5, "send", "a", {"dst": "b"})
     rec.record(5, "deliver", "b", {"src": "a"})
-    assert rec.entries == [
+    assert rec.rows == [(5, "send", "a", {"dst": "b"}), (5, "deliver", "b", {"src": "a"})]
+    assert entries(rec.rows) == [
         {"t": 5, "seq": 0, "kind": "send", "node": "a", "detail": {"dst": "b"}},
         {"t": 5, "seq": 1, "kind": "deliver", "node": "b", "detail": {"src": "a"}},
     ]
@@ -32,13 +24,13 @@ def test_seq_strictly_increasing_across_kinds():
     rec = TraceRecorder()
     for i in range(10):
         rec.record(i, "tick", None, {})
-    assert [e["seq"] for e in rec.entries] == list(range(10))
+    assert [e["seq"] for e in entries(rec.rows)] == list(range(10))
 
 
 def test_dumps_compact_and_key_order():
     rec = TraceRecorder()
     rec.record(1, "send", "a", {"x": 1})
-    line = dumps_jsonl(rec.entries).strip()
+    line = dumps_jsonl(rec.rows).strip()
     assert line == '{"t":1,"seq":0,"kind":"send","node":"a","detail":{"x":1}}'
 
 
@@ -47,22 +39,22 @@ def test_file_round_trip(tmp_path):
     rec.record(1, "a", "n", {"v": [1, 2]})
     rec.record(2, "b", None, {})
     path = tmp_path / "trace.jsonl"
-    dump_jsonl(rec.entries, str(path))
-    assert load_jsonl(str(path)) == rec.entries
+    dump_jsonl(rec.rows, str(path))
+    assert list(read_rows(str(path))) == rec.rows
 
 
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t": 1}\nnot json\n')
     with pytest.raises(MalformedTrace):
-        load_jsonl(str(path))
+        list(read_rows(str(path)))
 
 
 def test_load_rejects_missing_fields(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t": 1, "seq": 0, "kind": "x"}\n')
     with pytest.raises(MalformedTrace):
-        load_jsonl(str(path))
+        list(read_rows(str(path)))
 
 
 @pytest.mark.parametrize(
@@ -83,10 +75,10 @@ def test_load_rejects_bad_shapes_with_line_number(tmp_path, line, problem):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t": 0, "seq": 0, "kind": "x", "node": null, "detail": {}}\n' + line + "\n")
     with pytest.raises(MalformedTrace, match=f"^line 2: {problem}"):
-        load_jsonl(str(path))
+        list(read_rows(str(path)))
 
 
-# --- rows and the entry view ---------------------------------------------------------
+# --- rows ----------------------------------------------------------------------------
 
 
 def recorded():
@@ -102,34 +94,21 @@ def test_rows_are_four_tuples_without_seq():
     assert all(type(row) is tuple and len(row) == 4 for row in rec.rows)
 
 
-def test_view_iteration_indexing_and_len_agree():
-    view = recorded().entries
-    listed = list(view)
-    assert len(view) == len(listed) == 5
-    assert [view[i] for i in range(len(view))] == listed
-    assert [view[i] for i in range(-len(view), 0)] == listed
-    assert view[-1] == listed[-1] == {"t": 2, "seq": 4, "kind": "tick", "node": None, "detail": {"i": 4}}
-    assert list(view[-1]) == ["t", "seq", "kind", "node", "detail"]
-    assert view == listed and view != listed[:-1]
-    with pytest.raises(IndexError):
-        view[5]
-    with pytest.raises(IndexError):
-        view[-6]
-
-
 def test_view_is_live_and_seq_is_row_index_across_split_runs():
+    """``trace`` is the recorder's own row list, so one taken before the
+    run grows with it; the file numbers its lines by row index."""
     scn = base_scenario(until=200)
     split = SimulationRun(scn, seed=3)
-    view = split.trace
+    rows = split.trace
+    assert rows is split.sim.trace.rows
     for cut in (17, 64, 150):
         split.run_until(cut)
-        assert len(view) == len(split.sim.trace.rows)
+        assert len(rows) == len(split.sim.trace.rows) > 0
     split.run()
-    assert [e["seq"] for e in view] == list(range(len(view)))
-    assert [(e["t"], e["kind"], e["node"], e["detail"]) for e in view] == [
-        (t, kind, node, detail_dict(kind, detail)) for t, kind, node, detail in split.sim.trace.rows
-    ]
-    assert view == SimulationRun(scn, seed=3).run().trace
+    dicts = entries(rows)
+    assert [e["seq"] for e in dicts] == list(range(len(rows)))
+    assert [(e["t"], e["kind"], e["node"]) for e in dicts] == [row[:3] for row in rows]
+    assert rows == SimulationRun(scn, seed=3).run().trace
 
 
 def test_simulator_holds_send_and_deliver_details_as_tuples():
@@ -146,18 +125,17 @@ def test_simulator_holds_send_and_deliver_details_as_tuples():
     assert all(type(row[3]) is tuple and len(row[3]) == 3 for row in sends)
     assert all(type(row[3]) is tuple and len(row[3]) == 4 for row in delivers + drops)
     assert all(type(row[3]) is dict for row in rows if row[1] not in ("send", "deliver", "drop"))
-    reason, src, msg, msg_id = drops[0][3]
-    expanded = detail_dict("drop", drops[0][3])
-    assert list(expanded.items()) == [("reason", reason), ("src", src), ("msg", msg), ("msg_id", msg_id)]
-    assert detail_field("drop", drops[0][3], "reason") == reason
-    assert detail_field("drop", {}, "reason", "?") == "?"
-    # The dicts the simulator recorded before, key order included.
+    # The JSONL keys of each tuple, in order: the dicts the simulator recorded before.
+    send, deliver, drop = (e["detail"] for e in entries([sends[0], delivers[0], drops[0]]))
     dst, msg, msg_id = sends[0][3]
-    assert list(detail_dict("send", sends[0][3]).items()) == [("dst", dst), ("msg", msg), ("msg_id", msg_id)]
+    assert list(send.items()) == [("dst", dst), ("msg", msg), ("msg_id", msg_id)]
     src, msg, msg_id, sent_at = delivers[0][3]
-    expanded = detail_dict("deliver", delivers[0][3])
-    assert list(expanded.items()) == [("src", src), ("msg", msg), ("msg_id", msg_id), ("sent_at", sent_at)]
-    assert detail_field("deliver", delivers[0][3], "sent_at") == detail_field("deliver", expanded, "sent_at") == sent_at
+    assert list(deliver.items()) == [("src", src), ("msg", msg), ("msg_id", msg_id), ("sent_at", sent_at)]
+    reason, src, msg, msg_id = drops[0][3]
+    assert list(drop.items()) == [("reason", reason), ("src", src), ("msg", msg), ("msg_id", msg_id)]
+    assert detail_field("drop", drops[0][3], "reason") == reason
+    assert detail_field("drop", {}, "reason") is None
+    assert detail_field("deliver", delivers[0][3], "sent_at") == detail_field("deliver", deliver, "sent_at") == sent_at
     assert detail_field("deliver", {"msg_id": 1}, "sent_at") is None
 
 
@@ -166,32 +144,11 @@ def test_tuple_details_encode_like_the_dicts_they_replace():
     rec.send(3, "a", "b", "gossip", 7)
     rec.deliver(4, "b", "a", "gossip", 7, 3)
     rec.record(4, "deliver", "c", {"src": "a", "msg": "gossip", "msg_id": 8})
-    assert dumps_jsonl(rec.entries) == (
+    assert dumps_jsonl(rec.rows) == (
         '{"t":3,"seq":0,"kind":"send","node":"a","detail":{"dst":"b","msg":"gossip","msg_id":7}}\n'
         '{"t":4,"seq":1,"kind":"deliver","node":"b","detail":{"src":"a","msg":"gossip","msg_id":7,"sent_at":3}}\n'
         '{"t":4,"seq":2,"kind":"deliver","node":"c","detail":{"src":"a","msg":"gossip","msg_id":8}}\n'
     )
-    # A detail a reader changes is a fresh dict; the row keeps its tuple.
-    rec.entries[1]["detail"]["sent_at"] = 99
-    assert rec.rows[1] == (4, "deliver", "b", ("a", "gossip", 7, 3))
-
-
-def test_changing_a_read_entry_leaves_the_trace_alone():
-    rec = recorded()
-    first = rec.entries[2]
-    first.update(t=99, seq=99, kind="forged", node="z")
-    for e in rec.entries:
-        e["seq"] = -1
-    assert rec.entries[2] == {"t": 1, "seq": 2, "kind": "tick", "node": None, "detail": {"i": 2}}
-    assert [e["seq"] for e in rec.entries] == list(range(5))
-
-
-def test_trace_rows_of_view_and_of_dicts():
-    rec = recorded()
-    assert trace_rows(rec.entries) is rec.rows
-    assert trace_rows(list(rec.entries)) == rec.rows
-    rows = iter(rec.rows)
-    assert trace_rows(rows) is rows
 
 
 def test_dumps_matches_encoding_of_plain_entry_dicts():
@@ -205,8 +162,7 @@ def test_dumps_matches_encoding_of_plain_entry_dicts():
         rec.record(t, kind, node, detail)
         old.append({"t": t, "seq": seq, "kind": kind, "node": node, "detail": detail})
     expected = "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in old)
-    assert dumps_jsonl(rec.entries) == expected
-    assert dumps_jsonl(old) == expected
+    assert dumps_jsonl(rec.rows) == expected
 
 
 # --- the row writer against the JSON encoding of the entry dicts ----------------------
@@ -222,24 +178,34 @@ _json = st.recursive(
     max_leaves=6,
 )
 
+# The layouts of the tuple details, spelt out here as the entry dicts
+# the simulator recorded before the tuples replaced them.
+_LAYOUT = {
+    "send": (("dst", _text), ("msg", _text), ("msg_id", _big)),
+    "deliver": (("src", _text), ("msg", _text), ("msg_id", _big), ("sent_at", _big)),
+    "drop": (("reason", _text), ("src", _text), ("msg", _text), ("msg_id", _big)),
+}
+
 
 @st.composite
 def recorded_rows(draw):
     """A recorder holding rows of every form: tuple details through send,
-    deliver and drop, mappings under those kinds and under any other."""
-    rec = TraceRecorder()
-    for _ in range(draw(st.integers(0, 12))):
+    deliver and drop, mappings under those kinds and under any other;
+    with the entry dict each row stands for, built from the drawn fields."""
+    rec, expected = TraceRecorder(), []
+    for seq in range(draw(st.integers(0, 12))):
         t, form = draw(_big), draw(st.sampled_from(["send", "deliver", "drop", "mapping", "other"]))
-        if form == "send":
-            rec.send(t, draw(_text), draw(_text), draw(_text), draw(_big))
-        elif form == "deliver":
-            rec.deliver(t, draw(_text), draw(_text), draw(_text), draw(_big), draw(_big))
-        elif form == "drop":
-            rec.drop(t, draw(_text), draw(_text), draw(_text), draw(_text), draw(_big))
+        if form in _LAYOUT:
+            node = draw(_text)
+            detail = {name: draw(values) for name, values in _LAYOUT[form]}
+            getattr(rec, form)(t, node, *detail.values())
+            kind = form
         else:
-            kind = draw(st.sampled_from(["send", "deliver", "drop"])) if form == "mapping" else draw(_text)
-            rec.record(t, kind, draw(st.none() | _text), draw(st.dictionaries(_text, _json, max_size=4)))
-    return rec
+            kind = draw(st.sampled_from(sorted(_LAYOUT))) if form == "mapping" else draw(_text)
+            node, detail = draw(st.none() | _text), draw(st.dictionaries(_text, _json, max_size=4))
+            rec.record(t, kind, node, detail)
+        expected.append({"t": t, "seq": seq, "kind": kind, "node": node, "detail": detail})
+    return rec, expected
 
 
 def mapping_details():
@@ -247,16 +213,64 @@ def mapping_details():
     rec = TraceRecorder()
     rec.record(5, "send", "a", {"dst": "b"})
     rec.record(6, "drop", "b", {"msg_id": 1, "reason": "loss"})
-    return rec
+    expected = [
+        {"t": 5, "seq": 0, "kind": "send", "node": "a", "detail": {"dst": "b"}},
+        {"t": 6, "seq": 1, "kind": "drop", "node": "b", "detail": {"msg_id": 1, "reason": "loss"}},
+    ]
+    return rec, expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(recorded_rows())
-@example(rec=mapping_details())
-def test_row_writer_matches_json_encoding_of_entry_dicts(tmp_path_factory, rec):
-    expected = "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in rec.entries)
-    assert dumps_jsonl(rec.entries) == expected
-    assert dumps_jsonl(list(rec.entries)) == expected
+@example(case=mapping_details())
+def test_row_writer_matches_json_encoding_of_entry_dicts(tmp_path_factory, case):
+    rec, dicts = case
+    expected = "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in dicts)
+    assert dumps_jsonl(rec.rows) == expected
+    assert dumps_jsonl(list(rec.rows)) == expected
     path = tmp_path_factory.mktemp("writer") / "trace.jsonl"
-    dump_jsonl(rec.entries, str(path))
+    dump_jsonl(rec.rows, str(path))
     assert path.read_text(encoding="ascii") == expected
+
+
+# --- the reader and the writer round trip any valid file -------------------------------
+
+# Values of any JSON type, so that a layout field may hold a string, an
+# int, a bool, null, a float or a container.
+_field = st.one_of(_text, _big, st.booleans(), st.none(), st.floats(allow_nan=False), st.lists(_big, max_size=2))
+
+
+@st.composite
+def valid_lines(draw):
+    """Entry objects with ``seq`` 0..n-1 that the reader accepts: layout
+    keys under send, deliver and drop holding values of any type (msg_id
+    of send and deliver an int or a bool, as the reader requires), and
+    other details under any kind."""
+    lines = []
+    for seq in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["send", "deliver", "drop", "other"]))
+        if kind == "other":
+            kind, detail = draw(_text), draw(st.dictionaries(_text, _json, max_size=3))
+        else:
+            detail = {name: draw(_field) for name, _ in _LAYOUT[kind]}
+            if kind != "drop":
+                detail["msg_id"] = draw(_big | st.booleans())
+            if draw(st.booleans()):
+                detail = draw(st.permutations(list(detail.items())).map(dict))
+        lines.append({"t": draw(_big), "seq": seq, "kind": kind, "node": draw(st.none() | _text), "detail": detail})
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_lines())
+@example(lines=[{"t": 0, "seq": 0, "kind": "send", "node": "a", "detail": {"dst": 5, "msg": "g", "msg_id": 1}}])
+@example(
+    lines=[{"t": 0, "seq": 0, "kind": "deliver", "node": "b", "detail": {"src": "a", "msg": "g", "msg_id": 1, "sent_at": True}}]
+)
+def test_read_rows_then_write_gives_the_file_back(tmp_path_factory, lines):
+    """Writing the rows read from a valid file gives back the compact JSON
+    encoding of its lines: every detail the reader makes a tuple is one
+    the writer encodes as the mapping it was read from."""
+    path = tmp_path_factory.mktemp("round") / "trace.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="ascii")
+    assert dumps_jsonl(list(read_rows(str(path)))) == "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines)

@@ -3,17 +3,17 @@ by the right check."""
 
 from collections import namedtuple
 
-from conftest import base_scenario, run
+from conftest import base_scenario, entries, run
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depsim.metrics import compute_metrics
-from depsim.tracing import TraceRecorder, detail_field, dump_jsonl, load_jsonl, trace_rows
+from depsim.tracing import dump_jsonl, read_rows
 from depsim.verify import verify_trace
 
 
-def entry(t, kind, node, seq=0, **detail):
-    return {"t": t, "seq": seq, "kind": kind, "node": node, "detail": detail}
+def entry(t, kind, node, **detail):
+    return (t, kind, node, detail)
 
 
 def checks(violations):
@@ -306,31 +306,29 @@ def test_random_topologies_and_fault_schedules_verify_clean(case):
     assert verify_trace(trace, base_latency=scn.base_latency, topology=scn.topology) == []
 
 
-# --- rows and entry dicts give the same verdict ----------------------------------------
+# --- tuple details and the mappings they stand for give the same verdict -------------
 
 
-def replayed(trace):
-    """The trace recorded afresh, so consumers read the recorder's rows."""
-    rec = TraceRecorder()
-    for e in trace:
-        rec.record(e["t"], e["kind"], e["node"], e["detail"])
-    return rec.entries
+def mapped(rows):
+    """The rows with every detail the mapping its JSONL line holds."""
+    return [(e["t"], e["kind"], e["node"], e["detail"]) for e in entries(rows)]
 
 
-def assert_rows_agree_with_dicts(view, scn, tmp_dir):
-    """verify_trace and compute_metrics give the same results on a
-    recorder's rows, on the entry dicts read from them and on the
-    dump_jsonl -> load_jsonl round trip of those."""
-    dicts = list(view)
-    expected = verify_trace(dicts, scn.base_latency, scn.topology)
-    assert expected, "the trace should break at least one check"
+def assert_tuples_agree_with_mappings(rows, scn, tmp_dir):
+    """verify_trace and compute_metrics give the same results on the rows
+    as given, on the rows read back from their JSONL file (where every
+    send, deliver and drop detail that fits its layout is a tuple) and on
+    the rows with every detail a mapping."""
     path = str(tmp_dir / "trace.jsonl")
-    dump_jsonl(view, path)
-    loaded = load_jsonl(path)
-    assert loaded == dicts
-    for trace in (view, loaded):
-        assert verify_trace(trace, scn.base_latency, scn.topology) == expected
-        assert compute_metrics(trace, scn) == compute_metrics(dicts, scn)
+    dump_jsonl(rows, path)
+    assert any(type(row[3]) is tuple for row in read_rows(path))
+    as_mappings = mapped(rows)
+    expected = verify_trace(as_mappings, scn.base_latency, scn.topology)
+    assert expected, "the trace should break at least one check"
+    report = compute_metrics(as_mappings, scn)
+    for form in (lambda: rows, lambda: read_rows(path)):
+        assert verify_trace(form(), scn.base_latency, scn.topology) == expected
+        assert compute_metrics(form(), scn) == report
 
 
 # Breaks every check, with crash/recover/suspect/remove and workload
@@ -363,6 +361,8 @@ HAND_CORRUPTED = [
 
 
 def test_hand_corrupted_trace_gives_same_verdict_on_rows(tmp_path):
+    """The trace holds every detail as a mapping; read back from its file,
+    its send, deliver and drop details are tuples."""
     scn = base_scenario(
         network={"base_latency": 2, "jitter": 0, "loss": 0.0},
         clusters=[{"id": "top", "nodes": ["a", "b", "c"], "parent": None}, {"id": "leaf", "nodes": ["x", "y"], "parent": "top"}],
@@ -387,7 +387,7 @@ def test_hand_corrupted_trace_gives_same_verdict_on_rows(tmp_path):
     ('alert-totality', 'failed plan p2 raised no alert', 61, 'a'),
     ('module-errors', 'boom', 70, 'c'),
     ]
-    assert_rows_agree_with_dicts(replayed(HAND_CORRUPTED), scn, tmp_path)
+    assert_tuples_agree_with_mappings(HAND_CORRUPTED, scn, tmp_path)
 
 
 @st.composite
@@ -423,16 +423,14 @@ def mutated_runs(draw):
             rows[i] = (t, kind, node, {"src": src, "msg": msg, "msg_id": msg_id})
     i = draw(st.integers(0, len(rows) - 1))
     rows.insert(i, (rows[i][0], "deliver", draw(st.sampled_from(nodes)), ("?", "M", -1, 0)))
-    rec = TraceRecorder()
-    rec.rows.extend(rows)
-    return scn, rec.entries
+    return scn, rows
 
 
 @settings(max_examples=40, deadline=None)
 @given(mutated_runs())
 def test_mutated_traces_give_same_verdict_on_rows(tmp_path_factory, case):
-    scn, view = case
-    assert_rows_agree_with_dicts(view, scn, tmp_path_factory.mktemp("rows"))
+    scn, rows = case
+    assert_tuples_agree_with_mappings(rows, scn, tmp_path_factory.mktemp("rows"))
 
 
 # --- one pass against the nine-pass reference --------------------------------------------
@@ -465,9 +463,9 @@ def _ref_causality(rows, base_latency):
     delivered = set()
     for t, kind, node, detail in rows:
         if kind == "send":
-            sent_at[detail_field(kind, detail, "msg_id")] = t
+            sent_at[detail.get("msg_id")] = t
         elif kind == "deliver":
-            msg_id = detail_field(kind, detail, "msg_id")
+            msg_id = detail.get("msg_id")
             send_t = sent_at.get(msg_id)
             if send_t is None:
                 out.append(_RefViolation("causality", f"delivery of msg_id {msg_id} without a prior send", t, node))
@@ -476,7 +474,7 @@ def _ref_causality(rows, base_latency):
                 out.append(_RefViolation("causality", f"msg_id {msg_id} delivered twice", t, node))
                 continue
             delivered.add(msg_id)
-            claimed = detail_field(kind, detail, "sent_at")
+            claimed = detail.get("sent_at")
             if claimed != send_t:
                 out.append(_RefViolation("causality", f"msg_id {msg_id} sent_at {claimed} != send time {send_t}", t, node))
             elif t < send_t + base_latency:
@@ -586,8 +584,10 @@ def _ref_module_errors(rows):
     ]
 
 
-def ref_verify_trace(entries, base_latency=1, topology=None):
-    rows = trace_rows(entries)
+def ref_verify_trace(dicts, base_latency=1, topology=None):
+    """The nine-pass checks over a trace's entry dicts, as the JSONL file
+    holds them."""
+    rows = [(e["t"], e["kind"], e["node"], e["detail"]) for e in dicts]
     out = []
     out.extend(_ref_crash_isolation(rows))
     out.extend(_ref_causality(rows, base_latency))
@@ -607,9 +607,10 @@ def as_tuples(violations):
     return [(v.check, v.message, v.at, v.node) for v in violations]
 
 
-def assert_matches_reference(view, base_latency, topology):
+def assert_matches_reference(rows, base_latency, topology):
+    dicts = entries(rows)
     for topo in (None, topology):
-        assert as_tuples(verify_trace(view, base_latency, topo)) == as_tuples(ref_verify_trace(view, base_latency, topo))
+        assert as_tuples(verify_trace(rows, base_latency, topo)) == as_tuples(ref_verify_trace(dicts, base_latency, topo))
 
 
 _TOPOLOGY = base_scenario(
@@ -632,19 +633,21 @@ def random_rows(draw):
     may crash twice or recover while up), plans, their outcomes and
     alerts come in any order, summaries may name a cluster the topology
     lacks, and send/deliver details are tuples or mappings, with or
-    without sent_at."""
+    without sent_at. A tuple's node fields are strings, as the recorder's
+    are."""
     node = st.sampled_from(_NODES)
+    named = st.sampled_from(_NODES[:-1])
     msg_id = st.integers(0, 4)
     details = {
         "crash": st.just({}),
         "recover": st.just({}),
         "drop": st.builds(lambda m: {"reason": "loss", "src": "a", "msg": "M", "msg_id": m}, msg_id),
         "send": st.one_of(
-            st.tuples(node, st.just("M"), msg_id),
+            st.tuples(named, st.just("M"), msg_id),
             st.builds(lambda d, m: {"dst": d, "msg": "M", "msg_id": m}, node, msg_id),
         ),
         "deliver": st.one_of(
-            st.tuples(node, st.just("M"), msg_id, st.integers(0, 30)),
+            st.tuples(named, st.just("M"), msg_id, st.integers(0, 30)),
             st.builds(lambda s, m: {"src": s, "msg": "M", "msg_id": m}, node, msg_id),
         ),
         "notice_applied": st.fixed_dictionaries({"notice": _ids("n"), "origin": st.booleans()}),
@@ -702,13 +705,11 @@ def random_rows(draw):
 )
 def test_one_pass_matches_nine_pass_reference_on_random_rows(case):
     rows, base_latency = case
-    rec = TraceRecorder()
-    rec.rows.extend(rows)
-    assert_matches_reference(rec.entries, base_latency, _TOPOLOGY)
+    assert_matches_reference(rows, base_latency, _TOPOLOGY)
 
 
 @settings(max_examples=40, deadline=None)
 @given(mutated_runs())
 def test_one_pass_matches_nine_pass_reference_on_mutated_runs(case):
-    scn, view = case
-    assert_matches_reference(view, scn.base_latency, scn.topology)
+    scn, rows = case
+    assert_matches_reference(rows, scn.base_latency, scn.topology)
