@@ -1,11 +1,11 @@
 """Metric analysis: pattern matching, forecasting, and learning.
 
-Monitoring records stream into bounded per-(source, metric) windows.
+Monitoring samples stream into bounded per-(source, metric) windows.
 A pattern library is checked against the windows to produce diagnoses;
-a simple moving average forecasts whether a metric will cross a bound;
-and after a confirmed fault the engine can learn a new threshold
-pattern from the window that preceded it, so the same build-up is
-flagged before the fault next time.
+a simple moving average forecasts a metric, which the runtime checks
+against a bound; and after a confirmed fault the engine can learn a
+new threshold pattern from the window that preceded it, so the same
+build-up is flagged before the fault next time.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
@@ -34,14 +34,6 @@ class InsufficientData(Exception):
 
 class NoSignal(Exception):
     """No metric shifted enough before the fault to learn from."""
-
-
-@dataclass(frozen=True)
-class MonitoringRecord:
-    source: str
-    metric: str
-    value: float
-    at: SimTime
 
 
 @dataclass(frozen=True)
@@ -106,20 +98,7 @@ class Diagnosis:
     subject: str
     fault_class: str
     confidence: float
-    at: SimTime
     evidence: tuple[tuple[str, tuple[tuple[int, float], ...]], ...]  # (pattern_id, sample excerpt)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    source: str
-    metric: str
-    at: SimTime
-    forecast: float
-    horizon: int
-    threshold: float
-    cmp: str
-    will_cross: bool
 
 
 # --- predicate evaluation (pure) ---------------------------------------------
@@ -241,7 +220,7 @@ class _Matcher:
             record = self.records[(source, step)] = _HitRecord()
         return record.update(samples, self.totals[(source, step.metric)], step)
 
-    def match(self, library: Iterable[Pattern], now: SimTime) -> list[Diagnosis]:
+    def match(self, library: Iterable[Pattern]) -> list[Diagnosis]:
         """A threshold or trend matches when it holds at the newest
         sample. A sequence chains, step by step, the earliest hit
         strictly after the previous link, and matches when every step
@@ -284,7 +263,7 @@ class _Matcher:
                 slot["evidence"].append((pattern.pattern_id, _tail(metrics[last_metric], excerpt)))
 
         return [
-            Diagnosis(subject=source, fault_class=fc, confidence=slot["confidence"], at=now, evidence=tuple(slot["evidence"]))
+            Diagnosis(subject=source, fault_class=fc, confidence=slot["confidence"], evidence=tuple(slot["evidence"]))
             for (source, fc), slot in grouped.items()
         ]
 
@@ -292,7 +271,6 @@ class _Matcher:
 def compare(
     windows: dict[tuple[str, str], tuple[tuple[int, float], ...]],
     library: Iterable[Pattern],
-    now: SimTime,
 ) -> list[Diagnosis]:
     """Match every pattern against every window.
 
@@ -300,43 +278,21 @@ def compare(
     most one diagnosis per (subject, fault_class): confidence is the max
     over matching patterns, evidence collects each matching pattern with
     a short excerpt of the samples it matched on. This is the matcher
-    ``AnalysisEngine.poll`` keeps between polls, run on fresh records.
+    ``AnalysisEngine.poll`` keeps between polls, run on fresh windows.
     """
     matcher = _Matcher()
     for key, samples in windows.items():
         matcher.add_window(key, samples)
-    return matcher.match(library, now)
+    return matcher.match(library)
 
 
-def forecast_ma(
-    samples: tuple[tuple[int, float], ...],
-    k: int,
-    horizon: int,
-    threshold: float,
-    cmp: str = ">",
-    source: str = "",
-    metric: str = "",
-    at: SimTime = 0,
-) -> Prediction:
-    """Moving-average forecast: the mean of the last k values, projected
-    ``horizon`` ticks out, checked against the threshold."""
+def forecast_ma(samples: tuple[tuple[int, float], ...], k: int) -> float:
+    """Moving-average forecast: the mean of the last k values."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if cmp not in COMPARATORS:
-        raise ValueError(f"unknown comparator {cmp!r}")
     if len(samples) < k:
         raise InsufficientData(f"need {k} samples, have {len(samples)}")
-    forecast = sum(v for _, v in samples[-k:]) / k
-    return Prediction(
-        source=source,
-        metric=metric,
-        at=at,
-        forecast=forecast,
-        horizon=horizon,
-        threshold=threshold,
-        cmp=cmp,
-        will_cross=COMPARATORS[cmp](forecast, threshold),
-    )
+    return sum(v for _, v in samples[-k:]) / k
 
 
 # --- engine -------------------------------------------------------------------
@@ -382,38 +338,38 @@ class AnalysisEngine:
         # A window or the library changed since the last poll.
         self._changed = True
 
-    def ingest(self, record: MonitoringRecord) -> bool:
-        """Append a record. Records older than the newest already seen
+    def ingest(self, source: str, metric: str, value: float, at: SimTime) -> bool:
+        """Append a sample. Samples older than the newest already seen
         from the same source are dropped (returns False)."""
-        last = self._last_at.get(record.source)
-        if last is not None and record.at < last:
+        last = self._last_at.get(source)
+        if last is not None and at < last:
             return False
-        self._last_at[record.source] = record.at
-        key = (record.source, record.metric)
+        self._last_at[source] = at
+        key = (source, metric)
         window = self.windows.get(key)
         if window is None:
             window = deque(maxlen=self.params.capacity)
             self.windows[key] = window
             self._matcher.add_window(key, window)
-        window.append((record.at, record.value))
+        window.append((at, value))
         self._matcher.totals[key] += 1
         self._changed = True
         return True
 
-    def poll(self, now: SimTime) -> list[Diagnosis]:
+    def poll(self) -> list[Diagnosis]:
         """Match the library against the windows, as compare would, and
         return only newly matching diagnoses.
 
         The matcher keeps its hit records between polls, so a poll
         judges only the samples that arrived since the last one. A
-        match reads only the windows and the library (``now`` only
-        stamps its diagnoses), so while neither changed it would match
-        exactly what is already active, and nothing is fresh.
+        match reads only the windows and the library, so while neither
+        changed it would match exactly what is already active, and
+        nothing is fresh.
         """
         if not self._changed:
             return []
         self._changed = False
-        current = self._matcher.match(self.library, now)
+        current = self._matcher.match(self.library)
         fresh = [d for d in current if (d.subject, d.fault_class) not in self._active]
         self._active = {(d.subject, d.fault_class) for d in current}
         return fresh

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,22 +49,25 @@ def _print_violations(violations) -> None:
         print(f"violation {v.check}: {v.message} ({where})", file=sys.stderr)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """One file on disk (a hard link too) if both exist, else one resolved path."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return Path(a).resolve() == Path(b).resolve()
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        for flag, value, least in (("--seed", args.seed, 0), ("--until", args.until, 1)):
+            if value is not None and value < least:
+                raise ScenarioError(flag, f"must be >= {least}, got {value}")
+        # --until is applied while reading: the workload expands up to it.
+        scenario = load_scenario(args.scenario, until=args.until)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        if args.seed < 0:
-            print(f"scenario error: --seed: must be >= 0, got {args.seed}", file=sys.stderr)
-            return 2
         scenario = replace(scenario, seed=args.seed)
-    if args.until is not None:
-        if args.until < 1:
-            print(f"scenario error: --until: must be >= 1, got {args.until}", file=sys.stderr)
-            return 2
-        scenario = replace(scenario, until=args.until)
     for flag, path in (("--trace-out", args.trace_out), ("--metrics-out", args.metrics_out)):
         if path is not None and Path(path).is_dir():
             print(f"output error: {flag}: {path} is a directory", file=sys.stderr)
@@ -71,7 +75,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if path is not None and not Path(path).resolve().parent.is_dir():
             print(f"output error: {flag}: no directory for {path}", file=sys.stderr)
             return 2
-    if args.trace_out and args.metrics_out and Path(args.trace_out).resolve() == Path(args.metrics_out).resolve():
+        if path is not None and _same_file(path, args.scenario):
+            print(f"output error: {flag}: {path} is the scenario file", file=sys.stderr)
+            return 2
+    if args.trace_out and args.metrics_out and _same_file(args.trace_out, args.metrics_out):
         print("output error: --trace-out and --metrics-out name the same file", file=sys.stderr)
         return 2
 

@@ -118,7 +118,6 @@ def adapt_timeout(entry: HeartbeatEntry, params: DetectorParams) -> int:
 @dataclass(frozen=True)
 class GossipDigest:
     kind: ClassVar[str] = "gossip"
-    origin: str
     entries: dict[str, tuple[int, int]]  # node -> (counter, incarnation)
 
 
@@ -146,7 +145,6 @@ class PeerView:
 class Transition:
     peer: str
     kind: str  # suspect | refute | remove
-    at: SimTime
     gap: int = 0
     rejoin: bool = False
 
@@ -162,7 +160,9 @@ class ClusterTopology:
 
     clusters: dict[str, tuple[str, ...]]
     parent: dict[str, str | None]
-    cluster_of: dict[str, str] = field(default_factory=dict)
+    # Derived once by __post_init__: node -> its cluster, and the root.
+    cluster_of: dict[str, str] = field(init=False)
+    root: str = field(init=False)
 
     def __post_init__(self) -> None:
         roots = [cid for cid, p in self.parent.items() if p is None]
@@ -170,6 +170,7 @@ class ClusterTopology:
             raise ValueError("parent map must cover exactly the declared clusters")
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root cluster, found {roots}")
+        object.__setattr__(self, "root", roots[0])
         for cid, p in self.parent.items():
             if p is not None and p not in self.clusters:
                 raise ValueError(f"cluster {cid!r} has unknown parent {p!r}")
@@ -191,13 +192,6 @@ class ClusterTopology:
                     raise ValueError(f"cluster parent cycle at {cur!r}")
                 seen.add(cur)
                 cur = self.parent[cur]
-
-    @property
-    def root(self) -> str:
-        for cid, p in self.parent.items():
-            if p is None:
-                return cid
-        raise AssertionError("validated topology always has a root")
 
     def children(self, cid: str) -> list[str]:
         return [c for c, p in self.parent.items() if p == cid]
@@ -221,7 +215,6 @@ class ClusterSummary:
 @dataclass(frozen=True)
 class SummaryBatch:
     kind: ClassVar[str] = "summary_batch"
-    origin: str
     summaries: tuple[ClusterSummary, ...]
 
 
@@ -300,7 +293,7 @@ class Detector:
         targets = self._draw_peers()
         if not targets:
             return []
-        digest = GossipDigest(self.owner, {nid: (e.counter, e.incarnation) for nid, e in self.table.items()})
+        digest = GossipDigest({nid: (e.counter, e.incarnation) for nid, e in self.table.items()})
         return [(t, digest) for t in targets]
 
     def merge(self, digest: GossipDigest, now: SimTime) -> None:
@@ -364,7 +357,7 @@ class Detector:
                         view.state = PeerState.SUSPECTED
                         view.since = now
                         view.snapshot = (entry.incarnation, entry.counter)
-                        out.append(Transition(peer, "suspect", now, gap=gap))
+                        out.append(Transition(peer, "suspect", gap=gap))
                         quiet_until = -1
                         continue
                     deadline = last_bump + timeout
@@ -374,18 +367,18 @@ class Detector:
                 quiet_until = -1
                 if (entry.incarnation, entry.counter) > view.snapshot:
                     view.state = PeerState.ALIVE
-                    out.append(Transition(peer, "refute", now))
+                    out.append(Transition(peer, "refute"))
                 elif now - view.since > params.t_cleanup:
                     view.state = PeerState.REMOVED
                     view.since = now
                     self.removed.add(peer)
-                    out.append(Transition(peer, "remove", now))
+                    out.append(Transition(peer, "remove"))
             else:  # REMOVED: terminal until a higher incarnation shows up
                 quiet_until = -1
                 if entry.incarnation > view.snapshot[0]:
                     view.state = PeerState.ALIVE
                     self.removed.discard(peer)
-                    out.append(Transition(peer, "refute", now, rejoin=True))
+                    out.append(Transition(peer, "refute", rejoin=True))
         self.quiet_until = quiet_until
         return out
 
@@ -444,7 +437,7 @@ class Detector:
             suspected=tuple(sorted(self.suspected_members())),
         )
         self.latest[self.cluster] = summary
-        batch = SummaryBatch(self.owner, tuple(self.latest[c] for c in sorted(self.latest)))
+        batch = SummaryBatch(tuple(self.latest[c] for c in sorted(self.latest)))
         return summary, [(t, batch) for t in self.tree_targets()]
 
     def apply_summaries(self, batch: SummaryBatch) -> None:

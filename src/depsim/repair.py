@@ -156,14 +156,13 @@ class ServicePorts:
 @dataclass(frozen=True)
 class ChangeNotice:
     notice_id: str
-    origin: str
     action: RepairAction  # state-changing; receivers apply it to their registry
 
 
-def notice_for(action: RepairAction, notice_id: str, origin: str) -> ChangeNotice:
+def notice_for(action: RepairAction, notice_id: str) -> ChangeNotice:
     if not action.state_changing:
         raise ValueError(f"action {action.name} does not change state")
-    return ChangeNotice(notice_id, origin, action)
+    return ChangeNotice(notice_id, action)
 
 
 def apply_notice(registry: ContainerRegistry, notice: ChangeNotice) -> None:

@@ -5,7 +5,7 @@ with an invocation engine, analysis engine, repair orchestrator with
 change-notice propagation, and a reference monitor. The runtime is the
 only place these components meet: it routes every delivered message and
 timer to exactly one consumer and converts component outputs into trace
-entries, monitoring records and new messages. A crash drops the whole
+entries, monitoring samples and new messages. A crash drops the whole
 stack; recovery rebuilds it from the scenario baseline with a fresh
 incarnation, which is exactly the state loss the rejoin protocol
 expects.
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, ClassVar
 
 from . import containers as containers_mod
 from . import repair as repair_mod
-from .analysis import AnalysisEngine, Diagnosis, InsufficientData, MonitoringRecord, NoSignal, forecast_ma
+from .analysis import COMPARATORS, AnalysisEngine, Diagnosis, InsufficientData, NoSignal, forecast_ma
 from .containers import ContainerRegistry, Replica, Strategy, UnknownReplica
 from .membership import Detector, GossipDigest, SummaryBatch, PeerState
 from .repair import AlertOperator, ChangeNotice, RepairPlan, apply_notice, notice_for
@@ -32,16 +32,15 @@ SimTime = int
 
 
 # --- messages -----------------------------------------------------------------
+# A message does not name its sender: handlers take the delivery's ``src``.
 
 
 @dataclass(frozen=True)
 class InvokeRequest:
     kind: ClassVar[str] = "invoke_req"
     invocation_id: str
-    container_id: str
     service_id: str
     request: str
-    reply_to: str
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class InvokeResponse:
     kind: ClassVar[str] = "invoke_resp"
     invocation_id: str
     value: str
-    host: str
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,6 @@ class _Invocation:
         "step",
         "targets",
         "responses",
-        "expected",
     )
 
     def __init__(self, invocation_id: str, container_id: str, request: str, strategy: Strategy, started: SimTime):
@@ -88,7 +85,6 @@ class _Invocation:
         self.step = 0
         self.targets: list[str] = []  # active: hosts addressed
         self.responses: dict[str, str] = {}
-        self.expected = 0
 
 
 class _PlanRun:
@@ -168,8 +164,7 @@ class NodeRuntime:
         self.sim.trace.record(self.sim.now, kind, self.node, detail)
 
     def record_metric(self, source: str, metric: str, value: float) -> None:
-        ok = self.engine.ingest(MonitoringRecord(source=source, metric=metric, value=value, at=self.sim.now))
-        if not ok:
+        if not self.engine.ingest(source, metric, value, self.sim.now):
             self.trace("record_dropped", {"source": source, "metric": metric})
 
     # -- dispatch
@@ -182,7 +177,7 @@ class NodeRuntime:
         elif isinstance(msg, InvokeRequest):
             self._on_invoke_request(src, msg)
         elif isinstance(msg, InvokeResponse):
-            self._on_invoke_response(msg)
+            self._on_invoke_response(src, msg)
         elif isinstance(msg, NoticeMsg):
             self._on_notice(src, msg.notice)
         elif isinstance(msg, NoticeAck):
@@ -290,12 +285,11 @@ class NodeRuntime:
                 self._complete(inv, "all_failed", None, unavailable=True)
                 return inv_id
             inv.targets = [r.host for r in targets]
-            inv.expected = len(targets)
             for r in targets:
                 self.sim.send(
                     self.node,
                     r.host,
-                    InvokeRequest(inv_id, container_id, r.service_id, request, self.node),
+                    InvokeRequest(inv_id, r.service_id, request),
                 )
             self.sim.set_timer(self.node, state.spec.timeout, "inv_deadline", inv_id)
         return inv_id
@@ -322,7 +316,7 @@ class NodeRuntime:
                 self.sim.send(
                     self.node,
                     replica.host,
-                    InvokeRequest(inv.invocation_id, inv.container_id, replica.service_id, inv.request, self.node),
+                    InvokeRequest(inv.invocation_id, replica.service_id, inv.request),
                 )
                 self.sim.set_timer(
                     self.node, state.spec.timeout, "inv_step", (inv.invocation_id, inv.step)
@@ -342,23 +336,23 @@ class NodeRuntime:
         inv.step += 1
         self._failover_send(inv)
 
-    def _on_invoke_response(self, msg: InvokeResponse) -> None:
+    def _on_invoke_response(self, src: str, msg: InvokeResponse) -> None:
         inv = self._invocations.get(msg.invocation_id)
         if inv is None:
             return
         if inv.strategy is Strategy.FAILOVER:
-            if inv.step >= len(inv.order) or inv.order[inv.step].host != msg.host:
+            if inv.step >= len(inv.order) or inv.order[inv.step].host != src:
                 return  # stale answer from an abandoned step
             self.trace(
                 "failover_step",
-                {"invocation": inv.invocation_id, "step": inv.step, "host": msg.host, "result": "ok"},
+                {"invocation": inv.invocation_id, "step": inv.step, "host": src, "result": "ok"},
             )
-            self._complete(inv, "success", msg.value, responders=[msg.host])
+            self._complete(inv, "success", msg.value, responders=[src])
         else:
-            if msg.host in inv.responses or msg.host not in inv.targets:
+            if src in inv.responses or src not in inv.targets:
                 return
-            inv.responses[msg.host] = msg.value
-            if len(inv.responses) == inv.expected:
+            inv.responses[src] = msg.value
+            if len(inv.responses) == len(inv.targets):
                 self._decide_active(inv)
 
     def _on_deadline(self, inv_id: str) -> None:
@@ -449,16 +443,16 @@ class NodeRuntime:
                 elif b.kind == "slow":
                     delay = b.delay
                 break
-        response = InvokeResponse(msg.invocation_id, value, self.node)
+        response = InvokeResponse(msg.invocation_id, value)
         if delay > 0:
-            self.sim.set_timer(self.node, delay, "svc_reply", (msg.reply_to, response))
+            self.sim.set_timer(self.node, delay, "svc_reply", (src, response))
         else:
-            self.sim.send(self.node, msg.reply_to, response)
+            self.sim.send(self.node, src, response)
 
     # -- analysis ------------------------------------------------------------------
 
     def _compare_tick(self) -> None:
-        for diagnosis in self.engine.poll(self.sim.now):
+        for diagnosis in self.engine.poll():
             self._emit_diagnosis(diagnosis)
         self.sim.set_timer(self.node, self.scenario.analysis.compare_interval, "compare")
 
@@ -479,34 +473,31 @@ class NodeRuntime:
         window = self.engine.windows.get((fc.source, fc.metric))
         if window is not None:
             try:
-                pred = forecast_ma(
-                    tuple(window), fc.k, fc.horizon, fc.threshold, fc.cmp,
-                    source=fc.source, metric=fc.metric, at=self.sim.now,
-                )
+                forecast = forecast_ma(tuple(window), fc.k)
             except InsufficientData:
-                pred = None
-            if pred is not None:
+                forecast = None
+            if forecast is not None:
+                will_cross = COMPARATORS[fc.cmp](forecast, fc.threshold)
                 self.trace(
                     "prediction",
                     {
                         "source": fc.source,
                         "metric": fc.metric,
-                        "forecast": pred.forecast,
+                        "forecast": forecast,
                         "horizon": fc.horizon,
                         "threshold": fc.threshold,
-                        "will_cross": pred.will_cross,
+                        "will_cross": will_cross,
                     },
                 )
                 previous = self._forecast_state.get(idx, False)
-                self._forecast_state[idx] = pred.will_cross
-                if pred.will_cross and not previous and fc.fault_class is not None:
+                self._forecast_state[idx] = will_cross
+                if will_cross and not previous and fc.fault_class is not None:
                     samples = tuple(window)[-fc.k:]
                     self._emit_diagnosis(
                         Diagnosis(
                             subject=fc.source,
                             fault_class=fc.fault_class,
                             confidence=0.5,
-                            at=self.sim.now,
                             evidence=((f"forecast-{fc.metric}", samples),),
                         )
                     )
@@ -589,7 +580,7 @@ class NodeRuntime:
         if action.state_changing:
             self._notice_seq += 1
             notice_id = f"{self.node}.{self._epoch()}.n{self._notice_seq}"
-            notice = notice_for(action, notice_id, self.node)
+            notice = notice_for(action, notice_id)
             self._applied_notices.add(notice_id)
             apply_notice(self.registry, notice)
             self.trace("notice_applied", {"notice": notice_id, "origin": True})

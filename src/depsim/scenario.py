@@ -73,6 +73,10 @@ class ForecastSpec:
     start: int = 0
     fault_class: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.cmp not in COMPARATORS:
+            raise ValueError(f"unknown comparator {self.cmp!r}")
+
 
 @dataclass(frozen=True)
 class BehaviorWindow:
@@ -685,12 +689,15 @@ def _parse_faults(data: dict, nodes: set[str]) -> tuple[FaultDirective, ...]:
 # --- entry points -----------------------------------------------------------------
 
 
-def parse_scenario(data, default_name: str = "scenario") -> Scenario:
+def parse_scenario(data, default_name: str = "scenario", until: int | None = None) -> Scenario:
+    """Validate a scenario document. A given ``until`` replaces the
+    file's end tick, which open-ended periodic entries expand up to."""
     if not isinstance(data, dict):
         _fail("scenario", f"expected a mapping at the top level, got {type(data).__name__}")
     name = _str(data, "scenario", "name", default_name)
     seed = _int(data, "scenario", "seed", 0, minimum=0)
-    until = _int(data, "scenario", "until", minimum=1)
+    file_until = _int(data, "scenario", "until", minimum=1)
+    until = file_until if until is None else until
 
     net = _map(data, "scenario", "network", {})
     base_latency = _int(net, "network", "base_latency", 1, minimum=1)
@@ -736,7 +743,7 @@ def parse_scenario(data, default_name: str = "scenario") -> Scenario:
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | Path, until: int | None = None) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -750,7 +757,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except yaml.YAMLError as exc:
         # PyYAML spreads a message over several lines; the CLI prints one.
         raise ScenarioError("file", "not valid YAML/JSON: " + " ".join(str(exc).split())) from exc
-    return parse_scenario(data, default_name=p.stem)
+    return parse_scenario(data, default_name=p.stem, until=until)
 
 
 def _named(text: str, name: str) -> io.StringIO:

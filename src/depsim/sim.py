@@ -27,7 +27,6 @@ from .tracing import TraceRecorder
 logger = logging.getLogger(__name__)
 
 SimTime = int
-EventId = int
 
 
 class SchedulingInPast(Exception):
@@ -200,17 +199,16 @@ class Simulator:
 
     # -- scheduling primitives
 
-    def schedule(self, fire_at: SimTime, kind: int, payload: Any) -> EventId:
+    def schedule(self, fire_at: SimTime, kind: int, payload: Any) -> None:
         if fire_at < self.now:
             raise SchedulingInPast(f"fire_at {fire_at} < now {self.now}")
         seq = self._next_seq
         self._next_seq += 1
         heapq.heappush(self._heap, (fire_at, seq, kind, payload))
-        return seq
 
-    def set_timer(self, node: str, delay: int, timer_kind: str, data: Any = None) -> EventId:
+    def set_timer(self, node: str, delay: int, timer_kind: str, data: Any = None) -> None:
         handle = self._require_node(node)
-        return self.schedule(self.now + delay, _TIMER, (node, timer_kind, handle.epoch, data))
+        self.schedule(self.now + delay, _TIMER, (node, timer_kind, handle.epoch, data))
 
     def send(self, src: str, dst: str, msg: Any) -> None:
         """Queue a message. Loss is drawn at send time from the sender's
@@ -245,19 +243,19 @@ class Simulator:
         self._next_seq = seq + 1
         heapq.heappush(self._heap, (now + delay, seq, _DELIVER, (src, dst, msg, msg_id, now)))
 
-    def inject_fault(self, directive: Crash | Recover | SetLoss | Partition) -> EventId:
+    def inject_fault(self, directive: Crash | Recover | SetLoss | Partition) -> None:
         if isinstance(directive, Partition):
             for nid in directive.a | directive.b:
                 self._require_node(nid)
             self.network.partitions.append(directive)
-            return -1
+            return
         if isinstance(directive, (Crash, Recover)):
             self._require_node(directive.node)
-        return self.schedule(directive.at, _DIRECTIVE, directive)
+        self.schedule(directive.at, _DIRECTIVE, directive)
 
-    def schedule_directive(self, at: SimTime, directive: Any) -> EventId:
+    def schedule_directive(self, at: SimTime, directive: Any) -> None:
         """Scenario-level directive delivered to the directive handler."""
-        return self.schedule(at, _DIRECTIVE, directive)
+        self.schedule(at, _DIRECTIVE, directive)
 
     # -- main loop
 

@@ -258,7 +258,7 @@ def test_forecast_matches_recomputation():
             (i, rng.uniform(-1e4, 1e4) * (10.0 ** rng.randint(-3, 3)))
             for i in range(n)
         )
-        got = forecast_ma(samples, k=k, horizon=10, threshold=0.0).forecast
+        got = forecast_ma(samples, k=k)
         want = statistics.fmean(v for _, v in samples[-k:])
         assert isclose(got, want, rel_tol=1e-9), (k, samples[-k:])
 

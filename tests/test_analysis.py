@@ -12,7 +12,6 @@ from depsim.analysis import (
     AnalysisParams,
     Diagnosis,
     InsufficientData,
-    MonitoringRecord,
     NoSignal,
     Pattern,
     Sequence,
@@ -22,6 +21,7 @@ from depsim.analysis import (
     compare,
     forecast_ma,
 )
+from depsim.scenario import ForecastSpec
 
 
 def series(values, start=0, step=1):
@@ -34,9 +34,9 @@ def series(values, start=0, step=1):
 def test_threshold_requires_trailing_run():
     pat = Pattern("p", "Overload", Threshold("load", ">", 5.0, min_consecutive=3))
     w = {("svc", "load"): series([9, 9, 9, 4, 9, 9])}
-    assert compare(w, [pat], now=10) == []  # run broken by the 4
+    assert compare(w, [pat]) == []  # run broken by the 4
     w2 = {("svc", "load"): series([1, 9, 9, 9])}
-    got = compare(w2, [pat], now=10)
+    got = compare(w2, [pat])
     assert len(got) == 1 and got[0].fault_class == "Overload"
     # evidence carries exactly the matched tail
     assert got[0].evidence[0][1] == series([9, 9, 9], start=1)
@@ -44,7 +44,7 @@ def test_threshold_requires_trailing_run():
 
 def test_threshold_short_history_no_match():
     pat = Pattern("p", "Overload", Threshold("load", ">", 5.0, min_consecutive=3))
-    assert compare({("svc", "load"): series([9, 9])}, [pat], now=1) == []
+    assert compare({("svc", "load"): series([9, 9])}, [pat]) == []
 
 
 def test_threshold_comparator_validation():
@@ -57,7 +57,7 @@ def test_threshold_comparator_validation():
 def test_threshold_all_comparators():
     w = {("s", "m"): series([3.0])}
     for cmp, bound, expect in ((">", 2.9, True), (">=", 3.0, True), ("<", 3.1, True), ("<=", 2.9, False)):
-        got = compare(w, [Pattern("p", "F", Threshold("m", cmp, bound))], now=0)
+        got = compare(w, [Pattern("p", "F", Threshold("m", cmp, bound))])
         assert bool(got) is expect, (cmp, bound)
 
 
@@ -72,21 +72,21 @@ def test_trend_matches_least_squares_oracle():
     pat_lo = Pattern("p", "Ramp", Trend("m", k=5, cmp=">", slope_bound=slope - 1e-9))
     pat_hi = Pattern("q", "Ramp", Trend("m", k=5, cmp=">", slope_bound=slope + 1e-9))
     w = {("s", "m"): samples}
-    assert compare(w, [pat_lo], now=0)
-    assert not compare(w, [pat_hi], now=0)
+    assert compare(w, [pat_lo])
+    assert not compare(w, [pat_hi])
 
 
 def test_trend_uses_only_last_k():
     # huge early slope, flat tail of k samples
     samples = series([0, 100, 200, 5, 5, 5, 5])
     pat = Pattern("p", "Ramp", Trend("m", k=4, cmp=">", slope_bound=0.5))
-    assert compare({("s", "m"): samples}, [pat], now=0) == []
+    assert compare({("s", "m"): samples}, [pat]) == []
 
 
 def test_trend_constant_time_axis_is_flat():
     samples = ((5, 1.0), (5, 9.0), (5, 20.0))
     pat = Pattern("p", "Ramp", Trend("m", k=3, cmp=">", slope_bound=0.0))
-    assert compare({("s", "m"): samples}, [pat], now=0) == []
+    assert compare({("s", "m"): samples}, [pat]) == []
 
 
 def test_trend_validation():
@@ -108,7 +108,7 @@ def test_trend_hit_agrees_with_statistics(vals, bound):
     except statistics.StatisticsError:
         return
     pat = Pattern("p", "F", Trend("m", k=k, cmp=">", slope_bound=bound))
-    got = bool(compare({("s", "m"): samples}, [pat], now=0))
+    got = bool(compare({("s", "m"): samples}, [pat]))
     assert got == (slope > bound)
 
 
@@ -131,8 +131,8 @@ def test_sequence_orders_and_spans():
         ("s", "cpu"): ((10, 9.0),),
         ("s", "err"): ((14, 1.0),),
     }
-    assert compare(w, [seq_pattern(span=4)], now=0)
-    assert not compare(w, [seq_pattern(span=3)], now=0)
+    assert compare(w, [seq_pattern(span=4)])
+    assert not compare(w, [seq_pattern(span=3)])
 
 
 def test_sequence_requires_strict_order():
@@ -140,7 +140,7 @@ def test_sequence_requires_strict_order():
         ("s", "cpu"): ((14, 9.0),),
         ("s", "err"): ((10, 1.0),),  # second step fired first
     }
-    assert not compare(w, [seq_pattern(span=100)], now=0)
+    assert not compare(w, [seq_pattern(span=100)])
 
 
 def test_sequence_greedy_earliest_chain():
@@ -149,12 +149,12 @@ def test_sequence_greedy_earliest_chain():
         ("s", "cpu"): ((10, 9.0), (20, 1.0), (30, 9.0)),
         ("s", "err"): ((12, 1.0),),
     }
-    assert compare(w, [seq_pattern(span=5)], now=0)
+    assert compare(w, [seq_pattern(span=5)])
 
 
 def test_sequence_missing_metric():
     w = {("s", "cpu"): ((10, 9.0),)}
-    assert not compare(w, [seq_pattern(span=5)], now=0)
+    assert not compare(w, [seq_pattern(span=5)])
 
 
 def test_sequence_validation():
@@ -178,13 +178,12 @@ def test_compare_groups_by_subject_and_fault_class():
         ("a", "mem"): series([2.0]),
         ("b", "load"): series([6.0]),
     }
-    got = {(d.subject, d.fault_class): d for d in compare(w, pats, now=33)}
+    got = {(d.subject, d.fault_class): d for d in compare(w, pats)}
     assert set(got) == {("a", "Overload"), ("a", "Leak"), ("b", "Overload")}
     both = got[("a", "Overload")]
     assert both.confidence == 0.9  # max over matching patterns
     assert [pid for pid, _ in both.evidence] == ["p1", "p2"]
     assert got[("b", "Overload")].confidence == 0.4
-    assert all(d.at == 33 for d in got.values())
 
 
 # --- compare against a prefix-rescan reference -------------------------------------
@@ -213,7 +212,7 @@ def ref_sequence_holds(metrics, pred):
     return chain[-1] - chain[0] <= pred.span
 
 
-def ref_compare(windows, library, now):
+def ref_compare(windows, library):
     grouped = {}
     for pattern in library:
         pred = pattern.predicate
@@ -232,7 +231,7 @@ def ref_compare(windows, library, now):
                     max(conf, pattern.confidence),
                     evidence + ((pattern.pattern_id, excerpt),),
                 )
-    return [Diagnosis(src, fc, conf, now, ev) for (src, fc), (conf, ev) in grouped.items()]
+    return [Diagnosis(src, fc, conf, ev) for (src, fc), (conf, ev) in grouped.items()]
 
 
 METRICS = ("cpu", "err")
@@ -271,7 +270,7 @@ def window_sets(draw):
 )
 def test_compare_matches_prefix_rescan_reference(windows, preds):
     library = [Pattern(f"p{i}", f"F{i % 2}", pred, confidence=0.1 * (i + 1)) for i, pred in enumerate(preds)]
-    assert compare(windows, library, now=7) == ref_compare(windows, library, now=7)
+    assert compare(windows, library) == ref_compare(windows, library)
 
 
 # --- forecast ---------------------------------------------------------------------
@@ -279,22 +278,19 @@ def test_compare_matches_prefix_rescan_reference(windows, preds):
 
 def test_forecast_mean_of_last_k():
     samples = series([1, 2, 3, 4, 10])
-    pred = forecast_ma(samples, k=2, horizon=5, threshold=6.0)
-    assert pred.forecast == pytest.approx(7.0)
-    assert pred.will_cross is True
-    assert (pred.horizon, pred.threshold, pred.cmp) == (5, 6.0, ">")
+    assert forecast_ma(samples, k=2) == pytest.approx(7.0)
 
 
 def test_forecast_insufficient_data():
     with pytest.raises(InsufficientData):
-        forecast_ma(series([1, 2]), k=3, horizon=1, threshold=0.0)
+        forecast_ma(series([1, 2]), k=3)
 
 
 def test_forecast_validation():
     with pytest.raises(ValueError):
-        forecast_ma(series([1]), k=0, horizon=1, threshold=0.0)
-    with pytest.raises(ValueError):
-        forecast_ma(series([1]), k=1, horizon=1, threshold=0.0, cmp="~")
+        forecast_ma(series([1]), k=0)
+    with pytest.raises(ValueError, match="unknown comparator"):
+        ForecastSpec("s", "m", k=1, horizon=1, threshold=0.0, cmp="~")
 
 
 @given(
@@ -304,36 +300,26 @@ def test_forecast_validation():
 def test_forecast_matches_fmean_oracle(vals, data):
     k = data.draw(st.integers(1, len(vals)))
     samples = series(vals)
-    pred = forecast_ma(samples, k=k, horizon=3, threshold=0.0)
     expected = statistics.fmean(vals[-k:])
-    assert pred.forecast == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-def test_forecast_cmp_lt():
-    pred = forecast_ma(series([1.0, 1.0]), k=2, horizon=1, threshold=2.0, cmp="<")
-    assert pred.will_cross is True
+    assert forecast_ma(samples, k=k) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 # --- engine -----------------------------------------------------------------------
 
 
-def rec(source, metric, value, at):
-    return MonitoringRecord(source, metric, float(value), at)
-
-
 def test_ingest_drops_out_of_order_per_source():
     eng = AnalysisEngine(AnalysisParams())
-    assert eng.ingest(rec("a", "m", 1, at=10))
-    assert not eng.ingest(rec("a", "m", 2, at=9))  # stale for source a
-    assert eng.ingest(rec("b", "m", 3, at=5))  # other sources unaffected
-    assert eng.ingest(rec("a", "m", 4, at=10))  # equal time allowed
+    assert eng.ingest("a", "m", 1, at=10)
+    assert not eng.ingest("a", "m", 2, at=9)  # stale for source a
+    assert eng.ingest("b", "m", 3, at=5)  # other sources unaffected
+    assert eng.ingest("a", "m", 4, at=10)  # equal time allowed
     assert tuple(eng.windows[("a", "m")]) == ((10, 1.0), (10, 4.0))
 
 
 def test_window_capacity_bound():
     eng = AnalysisEngine(AnalysisParams(capacity=3))
     for i in range(10):
-        eng.ingest(rec("a", "m", i, at=i))
+        eng.ingest("a", "m", i, at=i)
     assert tuple(eng.windows[("a", "m")]) == ((7, 7.0), (8, 8.0), (9, 9.0))
 
 
@@ -342,33 +328,33 @@ def test_poll_edge_triggers():
         AnalysisParams(),
         [Pattern("p", "Overload", Threshold("m", ">", 5.0))],
     )
-    eng.ingest(rec("a", "m", 9, at=1))
-    assert len(eng.poll(2)) == 1
-    assert eng.poll(3) == []  # still matching: no re-fire
-    eng.ingest(rec("a", "m", 1, at=4))
-    assert eng.poll(5) == []  # condition cleared
-    eng.ingest(rec("a", "m", 9, at=6))
-    assert len(eng.poll(7)) == 1  # re-arms after clearing
+    eng.ingest("a", "m", 9, at=1)
+    assert len(eng.poll()) == 1
+    assert eng.poll() == []  # still matching: no re-fire
+    eng.ingest("a", "m", 1, at=4)
+    assert eng.poll() == []  # condition cleared
+    eng.ingest("a", "m", 9, at=6)
+    assert len(eng.poll()) == 1  # re-arms after clearing
 
 
 def test_poll_sees_pattern_added_between_samples():
     eng = AnalysisEngine(AnalysisParams())
-    eng.ingest(rec("a", "m", 9, at=1))
-    assert eng.poll(2) == []
-    assert eng.poll(3) == []  # no new sample, no new pattern
+    eng.ingest("a", "m", 9, at=1)
+    assert eng.poll() == []
+    assert eng.poll() == []  # no new sample, no new pattern
     eng.add_pattern(Pattern("p", "Overload", Threshold("m", ">", 5.0)))
-    assert [d.fault_class for d in eng.poll(4)] == ["Overload"]
+    assert [d.fault_class for d in eng.poll()] == ["Overload"]
 
 
 def test_learn_bound_and_winner():
     eng = AnalysisEngine(AnalysisParams(lookback=10))
     # metric "noise" stays flat; metric "heat" shifts hard before the fault
     for i in range(10):
-        eng.ingest(rec("svc", "noise", 5 + (i % 2), at=i))
-        eng.ingest(rec("svc", "heat", 10 + (i % 2), at=i))
+        eng.ingest("svc", "noise", 5 + (i % 2), at=i)
+        eng.ingest("svc", "heat", 10 + (i % 2), at=i)
     for i in range(10, 20):
-        eng.ingest(rec("svc", "noise", 5 + (i % 2), at=i))
-        eng.ingest(rec("svc", "heat", 50, at=i))
+        eng.ingest("svc", "noise", 5 + (i % 2), at=i)
+        eng.ingest("svc", "heat", 50, at=i)
     pat = eng.learn("svc", "ServiceCrash", fault_time=20)
     assert pat.origin == "learned"
     assert pat.fault_class == "ServiceCrash"
@@ -383,7 +369,7 @@ def test_learn_bound_and_winner():
 def test_learn_no_signal():
     eng = AnalysisEngine(AnalysisParams(lookback=5))
     for i in range(10):
-        eng.ingest(rec("svc", "m", 5.0, at=i))
+        eng.ingest("svc", "m", 5.0, at=i)
     with pytest.raises(NoSignal):
         eng.learn("svc", "ServiceCrash", fault_time=10)
 
@@ -391,9 +377,9 @@ def test_learn_no_signal():
 def test_learn_dedups():
     eng = AnalysisEngine(AnalysisParams(lookback=5))
     for i in range(5):
-        eng.ingest(rec("svc", "m", 1 + 0.1 * (i % 2), at=i))
+        eng.ingest("svc", "m", 1 + 0.1 * (i % 2), at=i)
     for i in range(5, 10):
-        eng.ingest(rec("svc", "m", 99.0, at=i))
+        eng.ingest("svc", "m", 99.0, at=i)
     eng.learn("svc", "ServiceCrash", fault_time=10)
     with pytest.raises(NoSignal):
         eng.learn("svc", "ServiceCrash", fault_time=10)
@@ -403,16 +389,16 @@ def test_learn_dedups():
 def test_learned_pattern_fires_on_replay():
     eng = AnalysisEngine(AnalysisParams(lookback=5))
     for i in range(5):
-        eng.ingest(rec("svc", "m", 1 + 0.1 * (i % 2), at=i))
+        eng.ingest("svc", "m", 1 + 0.1 * (i % 2), at=i)
     for i in range(5, 10):
-        eng.ingest(rec("svc", "m", 99.0, at=i))
+        eng.ingest("svc", "m", 99.0, at=i)
     learned = eng.learn("svc", "ServiceCrash", fault_time=10)
 
     replay = AnalysisEngine(AnalysisParams(), [learned])
-    replay.ingest(rec("svc", "m", 99.0, at=1))
-    assert replay.poll(2) == []  # min_consecutive=2: one sample not enough
-    replay.ingest(rec("svc", "m", 99.0, at=3))
-    got = replay.poll(4)
+    replay.ingest("svc", "m", 99.0, at=1)
+    assert replay.poll() == []  # min_consecutive=2: one sample not enough
+    replay.ingest("svc", "m", 99.0, at=3)
+    got = replay.poll()
     assert len(got) == 1 and got[0].fault_class == "ServiceCrash"
 
 
@@ -452,12 +438,12 @@ def test_engine_polls_match_reference_over_current_windows(run):
     library = [Pattern(f"p{i}", f"F{i % 2}", pred) for i, pred in enumerate(preds)]
     eng = AnalysisEngine(AnalysisParams(capacity=capacity), library)
     windows, clock, active = {}, {}, set()
-    for now, op in enumerate(ops):
+    for op in ops:
         if op[0] == "ingest":
             _, source, metric, step, value = op
             at = clock.get(source, 0) + step
             accepted = step >= 0 or source not in clock
-            assert eng.ingest(rec(source, metric, value, at)) is accepted
+            assert eng.ingest(source, metric, float(value), at) is accepted
             if accepted:
                 clock[source] = at
                 windows[(source, metric)] = (windows.get((source, metric), ()) + ((at, float(value)),))[-capacity:]
@@ -466,8 +452,8 @@ def test_engine_polls_match_reference_over_current_windows(run):
             library.append(pattern)
             eng.add_pattern(pattern)
         else:
-            current = ref_compare(windows, library, now)
+            current = ref_compare(windows, library)
             expect = [d for d in current if (d.subject, d.fault_class) not in active]
             active = {(d.subject, d.fault_class) for d in current}
-            assert eng.poll(now) == expect
+            assert eng.poll() == expect
     assert {key: tuple(w) for key, w in eng.windows.items()} == windows

@@ -2,11 +2,13 @@
 codes, and determinism of written traces."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from depsim import scenario
 from depsim.cli import main
 from depsim.tracing import read_rows
 
@@ -141,19 +143,66 @@ def test_run_rejects_output_that_is_a_directory(scenario_file, tmp_path, capsys,
     assert captured.err == f"output error: {flag}: {tmp_path} is a directory\n"
 
 
-@pytest.mark.parametrize("spelling", ["same", "dot-slash", "symlink"])
+@pytest.mark.parametrize("spelling", ["same", "dot-slash", "symlink", "hardlink"])
 def test_run_rejects_trace_and_metrics_in_one_file(scenario_file, tmp_path, capsys, monkeypatch, spelling):
     """The report would overwrite the trace; the two outputs must name
     different files however the second one is spelt."""
     monkeypatch.chdir(tmp_path)
-    other = {"same": "out.jsonl", "dot-slash": "./out.jsonl", "symlink": "link.jsonl"}[spelling]
+    other = {"same": "out.jsonl", "dot-slash": "./out.jsonl", "symlink": "link.jsonl", "hardlink": "hl.jsonl"}[spelling]
     if spelling == "symlink":
         (tmp_path / "link.jsonl").symlink_to(tmp_path / "out.jsonl")
+    if spelling == "hardlink":  # two names of one existing file
+        (tmp_path / "out.jsonl").write_text("old\n")
+        os.link(tmp_path / "out.jsonl", tmp_path / "hl.jsonl")
     assert main(["run", "--scenario", scenario_file, "--trace-out", "out.jsonl", "--metrics-out", other]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # no summary line: nothing was simulated
     assert captured.err == "output error: --trace-out and --metrics-out name the same file\n"
-    assert not (tmp_path / "out.jsonl").exists()
+    if spelling == "hardlink":
+        assert (tmp_path / "out.jsonl").read_text() == "old\n"
+    else:
+        assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot-slash", "symlink", "hardlink"])
+@pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out"])
+def test_run_rejects_output_that_is_the_scenario_file(scenario_file, tmp_path, capsys, monkeypatch, flag, spelling):
+    """An output must not overwrite the scenario it was run from."""
+    monkeypatch.chdir(tmp_path)
+    out = {"same": scenario_file, "dot-slash": "./case.yaml", "symlink": "link.yaml", "hardlink": "hl.yaml"}[spelling]
+    if spelling == "symlink":
+        (tmp_path / "link.yaml").symlink_to(scenario_file)
+    if spelling == "hardlink":
+        os.link(scenario_file, tmp_path / "hl.yaml")
+    assert main(["run", "--scenario", scenario_file, flag, out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no summary line: nothing was simulated
+    assert captured.err == f"output error: {flag}: {out} is the scenario file\n"
+    assert (tmp_path / "case.yaml").read_text() == SCENARIO
+
+
+def test_until_extends_open_ended_invocations(tmp_path, capsys):
+    """A periodic invocation without ``stop`` runs to the end of the run,
+    so a later --until issues more of them and an earlier one fewer."""
+    path = tmp_path / "open.yaml"
+    path.write_text(SCENARIO.replace("start: 20, period: 50", "start: 0, period: 10"))
+    metrics = tmp_path / "m.json"
+    for until, total in (([], 30), (["--until", "600"], 60), (["--until", "95"], 10)):
+        assert main(["run", "--scenario", str(path), "--metrics-out", str(metrics), "--quiet"] + until) == 0
+        assert json.loads(metrics.read_text())["invocations"]["total"] == total
+
+
+def test_until_is_bounded_by_the_expansion_limit(tmp_path, capsys, monkeypatch):
+    """The file's 30 invocations fit under the limit; the 100 that
+    --until 1000 expands to do not."""
+    monkeypatch.setattr(scenario, "MAX_EXPANDED_EVENTS", 50)
+    path = tmp_path / "open.yaml"
+    path.write_text(SCENARIO.replace("start: 20, period: 50", "start: 0, period: 10"))
+    assert main(["run", "--scenario", str(path), "--quiet"]) == 0
+    assert main(["run", "--scenario", str(path), "--until", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("scenario error: workload.invocations[0]: scripted events would reach ")
 
 
 @pytest.mark.parametrize("depth", [2_000, 30_000])

@@ -93,29 +93,29 @@ def fresh_detector(peers=("p1", "p2")):
 
 def test_merge_advances_counter_and_records_gap():
     det = fresh_detector()
-    det.merge(GossipDigest("p1", {"p1": (3, 0)}), now=7)
+    det.merge(GossipDigest({"p1": (3, 0)}), now=7)
     e = det.table["p1"]
     assert e.counter == 3 and e.incarnation == 0 and e.last_bump == 7
     # the first advance crossed an incarnation boundary: no usable gap baseline
     assert list(e.gaps) == []
-    det.merge(GossipDigest("p1", {"p1": (4, 0)}), now=12)
+    det.merge(GossipDigest({"p1": (4, 0)}), now=12)
     assert list(e.gaps) == [5]
-    det.merge(GossipDigest("p1", {"p1": (6, 0)}), now=20)
+    det.merge(GossipDigest({"p1": (6, 0)}), now=20)
     assert list(e.gaps) == [5, 8]
 
 
 def test_merge_never_regresses_counter():
     det = fresh_detector()
-    det.merge(GossipDigest("p1", {"p1": (9, 0)}), now=5)
-    det.merge(GossipDigest("p2", {"p1": (4, 0)}), now=9)
+    det.merge(GossipDigest({"p1": (9, 0)}), now=5)
+    det.merge(GossipDigest({"p1": (4, 0)}), now=9)
     assert det.table["p1"].counter == 9
     assert det.table["p1"].last_bump == 5
 
 
 def test_merge_higher_incarnation_accepts_lower_counter():
     det = fresh_detector()
-    det.merge(GossipDigest("p1", {"p1": (50, 0)}), now=5)
-    det.merge(GossipDigest("p1", {"p1": (1, 3)}), now=9)
+    det.merge(GossipDigest({"p1": (50, 0)}), now=5)
+    det.merge(GossipDigest({"p1": (1, 3)}), now=9)
     e = det.table["p1"]
     assert (e.counter, e.incarnation) == (1, 3)
     assert list(e.gaps) == []  # history voided on restart
@@ -124,14 +124,14 @@ def test_merge_higher_incarnation_accepts_lower_counter():
 def test_merge_ignores_own_row():
     det = fresh_detector()
     det.local_tick(5)
-    det.merge(GossipDigest("p1", {"me": (99, 9)}), now=5)
+    det.merge(GossipDigest({"me": (99, 9)}), now=5)
     own = det.table["me"]
     assert (own.counter, own.incarnation) == (1, 0)
 
 
 def test_merge_inserts_unknown_node_without_gap():
     det = fresh_detector()
-    det.merge(GossipDigest("p1", {"px": (2, 0)}), now=5)
+    det.merge(GossipDigest({"px": (2, 0)}), now=5)
     assert det.table["px"].counter == 2
     assert list(det.table["px"].gaps) == []
 
@@ -152,7 +152,7 @@ def test_merge_order_independent_in_counter_space(updates, seed):
     def final(order):
         det = fresh_detector(peers=("p1", "p2", "p3"))
         for i, (nid, counter, inc) in enumerate(order):
-            det.merge(GossipDigest("p1", {nid: (counter, inc)}), now=i + 1)
+            det.merge(GossipDigest({nid: (counter, inc)}), now=i + 1)
         return {n: (e.incarnation, e.counter) for n, e in det.table.items() if n != "me"}
 
     shuffled = list(updates)
@@ -170,9 +170,8 @@ def test_merge_order_independent_in_counter_space(updates, seed):
 
 def test_digest_carries_whole_table():
     det = fresh_detector()
-    det.merge(GossipDigest("p1", {"px": (2, 0)}), now=5)
+    det.merge(GossipDigest({"px": (2, 0)}), now=5)
     (_, d), _ = det.local_tick(10)
-    assert d.origin == "me"
     # table insertion order: own row, seeded peers, then rows learned later
     assert list(d.entries) == ["me", "p1", "p2", "px"]
     assert d.entries["me"] == (1, 0)
@@ -207,6 +206,8 @@ def test_topology_accessors():
     assert topo.children("top") == ["leaf"]
     assert topo.parent == {"top": None, "leaf": "top"}
     assert topo.cluster_of["b2"] == "leaf"
+    with pytest.raises(TypeError):  # derived, not a constructor argument
+        ClusterTopology(clusters=topo.clusters, parent=topo.parent, cluster_of={})
     assert set(topo.nodes()) == {"a0", "a1", "b0", "b1", "b2"}
 
 
@@ -256,37 +257,37 @@ def test_cycle_sweep_visits_every_peer():
 def test_suspect_refute_remove_lifecycle():
     det, params = make_detector()
     # p1 advances at t=10, then goes silent
-    det.merge(GossipDigest("p1", {"p1": (1, 0)}), now=10)
+    det.merge(GossipDigest({"p1": (1, 0)}), now=10)
     # timeout is bootstrap (window not full): 100
     assert det.evaluate(100) == []
     trs = det.evaluate(111)
     assert [(t.peer, t.kind) for t in trs if t.peer == "p1"] == [("p1", "suspect")]
     assert trs[0].gap == 101
     # a fresher counter refutes
-    det.merge(GossipDigest("p2", {"p1": (2, 0)}), now=112)
+    det.merge(GossipDigest({"p1": (2, 0)}), now=112)
     trs = det.evaluate(120)
     assert [(t.peer, t.kind) for t in trs if t.peer == "p1"] == [("p1", "refute")]
 
 
 def test_remove_after_cleanup_window():
     det, params = make_detector()
-    det.merge(GossipDigest("p1", {"p1": (1, 0)}), now=10)
+    det.merge(GossipDigest({"p1": (1, 0)}), now=10)
     det.evaluate(111)  # suspect
     assert det.evaluate(161) == []  # t_cleanup=50 not yet exceeded
     trs = det.evaluate(162)
     assert [(t.peer, t.kind) for t in trs if t.peer == "p1"] == [("p1", "remove")]
     assert det.view["p1"].state is PeerState.REMOVED
     # stale counters at the same incarnation do not resurrect it
-    det.merge(GossipDigest("p1", {"p1": (9, 0)}), now=170)
+    det.merge(GossipDigest({"p1": (9, 0)}), now=170)
     assert all(t.peer != "p1" for t in det.evaluate(180))
 
 
 def test_rejoin_needs_higher_incarnation():
     det, _ = make_detector()
-    det.merge(GossipDigest("p1", {"p1": (1, 0)}), now=10)
+    det.merge(GossipDigest({"p1": (1, 0)}), now=10)
     det.evaluate(111)
     det.evaluate(162)  # removed
-    det.merge(GossipDigest("p1", {"p1": (0, 200)}), now=200)
+    det.merge(GossipDigest({"p1": (0, 200)}), now=200)
     trs = det.evaluate(210)
     hits = [t for t in trs if t.peer == "p1"]
     assert len(hits) == 1 and hits[0].kind == "refute" and hits[0].rejoin
@@ -295,14 +296,14 @@ def test_rejoin_needs_higher_incarnation():
 
 def test_removed_peers_not_gossip_targets():
     det, _ = make_detector()
-    det.merge(GossipDigest("p1", {"p1": (1, 0)}), now=10)
-    det.merge(GossipDigest("p2", {"p2": (1, 0)}), now=105)
+    det.merge(GossipDigest({"p1": (1, 0)}), now=10)
+    det.merge(GossipDigest({"p2": (1, 0)}), now=105)
     det.evaluate(111)  # p1 suspected
     assert [(t.peer, t.kind) for t in det.evaluate(162)] == [("p1", "remove")]
     for _ in range(6):
         assert det._draw_peers() == ["p2"]
     # a restarted p1 rejoins and is drawn again
-    det.merge(GossipDigest("p1", {"p1": (0, 200), "p2": (2, 0)}), now=200)
+    det.merge(GossipDigest({"p1": (0, 200), "p2": (2, 0)}), now=200)
     assert [(t.peer, t.kind, t.rejoin) for t in det.evaluate(210)] == [("p1", "refute", True)]
     assert "p1" in det._draw_peers()
 
@@ -346,16 +347,16 @@ class EagerDetector:
             gap = now - row.last_bump
             if state == "alive" and gap > adapt_timeout(row, self.params):
                 self.view[peer] = ("suspected", now, (row.incarnation, row.counter))
-                out.append((peer, "suspect", now, gap, False))
+                out.append((peer, "suspect", gap, False))
             elif state == "suspected" and (row.incarnation, row.counter) > snapshot:
                 self.view[peer] = ("alive", since, snapshot)
-                out.append((peer, "refute", now, 0, False))
+                out.append((peer, "refute", 0, False))
             elif state == "suspected" and now - since > self.params.t_cleanup:
                 self.view[peer] = ("removed", now, snapshot)
-                out.append((peer, "remove", now, 0, False))
+                out.append((peer, "remove", 0, False))
             elif state == "removed" and row.incarnation > snapshot[0]:
                 self.view[peer] = ("alive", since, snapshot)
-                out.append((peer, "refute", now, 0, True))
+                out.append((peer, "refute", 0, True))
         return out
 
 
@@ -406,12 +407,12 @@ def test_evaluate_matches_eager_reference(steps, window, k, t_min, t_bootstrap, 
     for dt, action in steps:
         if isinstance(action, dict):
             now += dt
-            det.merge(GossipDigest("p1", action), now)
+            det.merge(GossipDigest(action), now)
             ref.merge(action, now)
             continue
         times = range(now + 1, now + dt + 1) if action == "sweep" else [now + dt]
         for now in times:
-            got = [(t.peer, t.kind, t.at, t.gap, t.rejoin) for t in det.evaluate(now)]
+            got = [(t.peer, t.kind, t.gap, t.rejoin) for t in det.evaluate(now)]
             assert got == ref.evaluate(now)
             views = {p: (v.state.value, v.since, v.snapshot) for p, v in det.view.items()}
             assert views == ref.view
@@ -455,9 +456,9 @@ def test_apply_summaries_keeps_freshest():
     det = hierarchy_detector("a0")
     s1 = ClusterSummary("leaf", epoch=40, rep="b0", alive=("b0", "b1"), suspected=())
     s2 = ClusterSummary("leaf", epoch=60, rep="b0", alive=("b0",), suspected=("b1",))
-    det.apply_summaries(SummaryBatch("b0", (s2,)))
+    det.apply_summaries(SummaryBatch((s2,)))
     assert det.latest["leaf"] is s2
-    det.apply_summaries(SummaryBatch("b0", (s1,)))  # stale
+    det.apply_summaries(SummaryBatch((s1,)))  # stale
     assert det.latest["leaf"] is s2
     assert det.global_suspected() == {"b1"}
 
@@ -466,8 +467,8 @@ def test_rep_tiebreak_on_equal_epoch():
     det = hierarchy_detector("a0")
     s_old = ClusterSummary("leaf", epoch=40, rep="b0", alive=("b0",), suspected=())
     s_new = ClusterSummary("leaf", epoch=40, rep="b1", alive=("b1",), suspected=("b0",))
-    det.apply_summaries(SummaryBatch("b0", (s_old,)))
-    det.apply_summaries(SummaryBatch("b1", (s_new,)))
+    det.apply_summaries(SummaryBatch((s_old,)))
+    det.apply_summaries(SummaryBatch((s_new,)))
     assert det.latest["leaf"] is s_new
 
 
@@ -478,15 +479,15 @@ def test_tree_targets_parent_then_children():
     )
     det = Detector("m1", topo, DetectorParams(), rng=random.Random(1))
     assert det.tree_targets() == ["a0", "x0", "y0"]
-    det.apply_summaries(SummaryBatch("y1", (ClusterSummary("y", 50, "y1", ("y1",), ("y0",)),)))
+    det.apply_summaries(SummaryBatch((ClusterSummary("y", 50, "y1", ("y1",), ("y0",)),)))
     assert det.tree_targets() == ["a0", "x0", "y1"]
 
 
 def test_remote_rep_follows_latest_summary():
     det = hierarchy_detector("a0")
     assert det.representative("leaf") == "b0"  # default: lowest id
-    det.apply_summaries(SummaryBatch("b1", (ClusterSummary("leaf", 50, "b1", ("b1",), ("b0",)),)))
+    det.apply_summaries(SummaryBatch((ClusterSummary("leaf", 50, "b1", ("b1",), ("b0",)),)))
     assert det.representative("leaf") == "b1"
     # a summary with no live member says nothing about who represents the cluster
-    det.apply_summaries(SummaryBatch("b1", (ClusterSummary("leaf", 60, "b1", (), ("b0", "b1")),)))
+    det.apply_summaries(SummaryBatch((ClusterSummary("leaf", 60, "b1", (), ("b0", "b1")),)))
     assert det.representative("leaf") == "b0"

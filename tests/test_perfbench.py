@@ -25,3 +25,27 @@ def test_span_targets_resolve_on_the_package():
     ]
     assert targets
     assert missing == []
+
+
+# Spans that only the CLI's output stages reach.
+CLI_SPANS = {"tracing.encode", "metrics.compute", "verify.verify"}
+
+
+def test_every_span_is_reached_by_the_bundled_scenarios():
+    """A wrap target can resolve and still never be called, say after
+    its call site moved; its layer would then read zero. Each span but
+    the CLI's output stages records a call over in-process runs of the
+    bundled scenarios."""
+    depsim = load("setup_probe").import_depsim()
+    spans = load("spans")
+    tracer = spans.Tracer(depsim)
+    tracer.install()
+    try:
+        for path in sorted((PERFBENCH.parent / "scenarios").glob("*.yaml")):
+            depsim["run"].SimulationRun(depsim["scenario"].load_scenario(path)).run()
+    finally:
+        tracer.uninstall()
+    assert tracer.problems() == []
+    calls = {name: row[0] for name, row in tracer.drain().items()}
+    names = {f"{layer}.{name}" for layer, name, _, _ in spans.targets(depsim)}
+    assert sorted(name for name in names - CLI_SPANS if not calls.get(name)) == []

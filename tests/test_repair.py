@@ -28,8 +28,8 @@ from depsim.repair import (
 )
 
 
-def diag(subject, fault_class, at=50):
-    return Diagnosis(subject=subject, fault_class=fault_class, confidence=0.9, at=at, evidence=())
+def diag(subject, fault_class):
+    return Diagnosis(subject=subject, fault_class=fault_class, confidence=0.9, evidence=())
 
 
 def registry(with_alt=True, checkpoint="ck7"):
@@ -149,24 +149,24 @@ def test_port_script_validation():
 
 
 def test_notice_for_each_state_changing_action():
-    n = notice_for(ActivateAlternative("store", "h9", "s1"), "n1", "node-a")
-    assert n == ChangeNotice("n1", "node-a", ActivateAlternative("store", "h9", "s1"))
+    n = notice_for(ActivateAlternative("store", "h9", "s1"), "n1")
+    assert n == ChangeNotice("n1", ActivateAlternative("store", "h9", "s1"))
 
-    n2 = notice_for(RestoreCheckpoint("j1", "ck7"), "n2", "node-a")
+    n2 = notice_for(RestoreCheckpoint("j1", "ck7"), "n2")
     assert n2.action.checkpoint == "ck7"
 
-    n3 = notice_for(RescheduleJobs(("j1", "j2")), "n3", "node-a")
+    n3 = notice_for(RescheduleJobs(("j1", "j2")), "n3")
     assert n3.action.job_ids == ("j1", "j2")
 
 
 def test_notice_for_rejects_alerts():
     with pytest.raises(ValueError):
-        notice_for(AlertOperator("x"), "n", "node-a")
+        notice_for(AlertOperator("x"), "n")
 
 
 def test_apply_notice_activate_alternative():
     reg = registry()
-    n = notice_for(ActivateAlternative("store", "h9", "s1"), "n1", "a")
+    n = notice_for(ActivateAlternative("store", "h9", "s1"), "n1")
     apply_notice(reg, n)
     state = reg.container("store")
     assert Replica("h9", "s1") in state.replicas
@@ -178,14 +178,14 @@ def test_apply_notice_activate_alternative():
 
 def test_apply_notice_job_status():
     reg = registry()
-    apply_notice(reg, notice_for(RestoreCheckpoint("j1", "ck7"), "n", "a"))
+    apply_notice(reg, notice_for(RestoreCheckpoint("j1", "ck7"), "n"))
     assert reg.jobs["j1"].status == "restored"
-    apply_notice(reg, notice_for(RescheduleJobs(("j1",)), "n2", "a"))
+    apply_notice(reg, notice_for(RescheduleJobs(("j1",)), "n2"))
     assert reg.jobs["j1"].status == "rescheduled"
 
 
 def test_apply_notice_tolerates_unknown_targets():
     reg = registry()
-    apply_notice(reg, notice_for(ActivateAlternative("ghost", "h", "s"), "n", "a"))
-    apply_notice(reg, notice_for(RescheduleJobs(("ghost-job",)), "n2", "a"))
+    apply_notice(reg, notice_for(ActivateAlternative("ghost", "h", "s"), "n"))
+    apply_notice(reg, notice_for(RescheduleJobs(("ghost-job",)), "n2"))
     assert reg.jobs["j1"].status == "running"

@@ -2,11 +2,16 @@
 voting, self-repair with change notices, forecasts, and mediation."""
 
 import statistics
+from pathlib import Path
 
 import pytest
 from conftest import base_scenario, details, kind, run
 
+from depsim.analysis import COMPARATORS
 from depsim.containers import Replica
+from depsim.scenario import load_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # --- failover ---------------------------------------------------------------------
@@ -372,6 +377,32 @@ def test_forecast_matches_recomputation_and_edge_triggers():
     diags = details(r.trace, "diagnosis", "a")
     assert len([d for d in diags if d["fault_class"] == "JobFault"]) == 1
     assert diags[0]["patterns"] == ["forecast-queue"]
+
+
+def test_forecast_cmp_lt():
+    """A falling series against a ``<`` bound: the prediction crosses
+    once the mean of the last k samples is below the threshold."""
+    scn = base_scenario(
+        forecasts=[{"source": "j1", "metric": "free", "k": 2, "horizon": 5, "threshold": 20.0, "cmp": "<", "period": 10}],
+        telemetry=[
+            {"node": "a", "source": "j1", "metric": "free", "start": 0, "stop": 100, "every": 5, "from": 50.0, "to": 0.0}
+        ],
+        until=120,
+    )
+    preds = details(run(scn).trace, "prediction", "a")
+    assert {d["will_cross"] for d in preds} == {True, False}
+    assert all(d["will_cross"] == (d["forecast"] < 20.0) for d in preds)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_prediction_rows_compare_forecast_with_threshold(seed):
+    scn = load_scenario(SCENARIO_DIR / "learn-and-predict.yaml")
+    cmp = {(fc.source, fc.metric): fc.cmp for fc in scn.forecasts}
+    preds = details(run(scn, seed=seed).trace, "prediction")
+    assert preds
+    for d in preds:
+        op = COMPARATORS[cmp[(d["source"], d["metric"])]]
+        assert d["will_cross"] == op(d["forecast"], d["threshold"])
 
 
 # --- mediation and policy --------------------------------------------------------------
