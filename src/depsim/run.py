@@ -14,7 +14,7 @@ from __future__ import annotations
 from .runtime import NodeRuntime
 from .scenario import AccessEvent, InvokeEvent, PolicyEvent, Scenario, TelemetryEvent
 from .sim import NetworkModel, Recover, Simulator
-from .tracing import Row
+from .tracing import TraceRecorder
 
 
 class SimulationRun:
@@ -67,5 +67,5 @@ class SimulationRun:
         return self.run_until(self.scenario.until)
 
     @property
-    def trace(self) -> list[Row]:
-        return self.sim.trace.rows
+    def trace(self) -> TraceRecorder:
+        return self.sim.trace

@@ -7,15 +7,22 @@ run-level events) and a ``detail``. On disk it is JSON Lines, one entry
 object per row with the keys ``t``, ``seq``, ``kind``, ``node`` and
 ``detail`` in that order, where ``seq`` is the row's index. Identical
 runs write byte-identical files. Metrics and verify read any iterable of
-rows, the recorder's list or the rows :func:`read_rows` streams from a
-file.
+rows: the recorder, a list of rows or the rows :func:`read_rows` streams
+from a file.
 
 The simulator's ``send``, ``deliver`` and ``drop`` entries, nearly all
-the rows of a quiet or lossy run, keep their detail as a plain tuple in
+the rows of a quiet or lossy run, have their detail as a plain tuple in
 the fixed field order of ``_TUPLE_FIELDS`` instead of a dict each. Only
 this module knows that layout: :func:`detail_field` reads one field of a
-detail in either form. Every other row holds the detail mapping it was
+detail in either form. Every other row has the detail mapping it was
 recorded with.
+
+The recorder holds its rows in columns, not as row tuples: ``t`` and the
+int fields of a tuple detail in 64-bit arrays, and the node, the kind
+and the string fields of a tuple detail as codes into one table that
+holds each distinct string once. It is the run's trace: sized, live
+while the run goes on, and iterating it builds each row again, equal to
+the one recorded and of the same types.
 
 The JSONL writer formats each line straight from its row, a tuple
 detail through a format built once per kind from its layout, so the
@@ -28,8 +35,10 @@ own state, never the file.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
-from json.encoder import encode_basestring_ascii
+from array import array
+from collections.abc import Callable, Iterator
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable
 
 Row = tuple[int, str, str | None, dict[str, Any] | tuple]
@@ -43,6 +52,8 @@ _TUPLE_FIELDS: dict[str, tuple[str, ...]] = {
     "drop": ("reason", "src", "msg", "msg_id"),
 }
 _INT_FIELDS = frozenset({"msg_id", "sent_at"})
+# kind -> the number of its layout's string fields, which come first
+_STRINGS = {kind: sum(name not in _INT_FIELDS for name in fields) for kind, fields in _TUPLE_FIELDS.items()}
 _FIELD_INDEX = {(kind, name): i for kind, names in _TUPLE_FIELDS.items() for i, name in enumerate(names)}
 
 
@@ -58,16 +69,123 @@ def detail_field(kind: str, detail: dict[str, Any] | tuple, name: str) -> Any:
     return detail.get(name)
 
 
-class TraceRecorder:
-    """Collects trace rows in memory."""
+_Q = 2**63  # an array('q') holds the ints in [-_Q, _Q)
 
-    __slots__ = ("rows",)
+
+def _layout_binder(table: int, width: int, n: int) -> Callable[..., Callable[..., int | None]]:
+    """A function that binds the string table and the columns of the
+    table of a layout of ``width`` fields, the first ``n`` of them strings,
+    into ``store(t, node, detail)``, which appends a row of that layout
+    and returns ``table``; or returns None, having appended
+    nothing, when the row does not fit: a ``t`` outside 64 bits, a node
+    neither str nor None, a detail of another length, a string field not
+    a str, an int field not an int or outside 64 bits. The source is
+    written field by field from the layout, as ``dataclasses`` writes
+    ``__init__``: a loop over the fields made each quiet64 seed about 6%
+    slower."""
+    values = [f"v{i}" for i in range(width)]
+    checks = ["type(t) is int and -_Q <= t < _Q and (node is None or type(node) is str)"]
+    checks += [f"type({v}) is str" for v in values[:n]] + [f"type({v}) is int and -_Q <= {v} < _Q" for v in values[n:]]
+    source = "\n".join([
+        "def bind(strings, ts, nodes, strs, ints):",
+        "    def store(t, node, detail):",
+        f"        if len(detail) != {width}:",
+        "            return None",
+        f"        {', '.join(values)}, = detail",
+        f"        if not ({' and '.join(checks)}):",
+        "            return None",
+        "        ts.append(t)",
+        "        nodes.append(strings[node])",
+        *[f"        strs.append(strings[{v}])" for v in values[:n]],
+        *[f"        ints.append({v})" for v in values[n:]],
+        f"        return {table}",
+        "    return store",
+    ])
+    namespace: dict[str, Any] = {"_Q": _Q}
+    exec(source, namespace)
+    return namespace["bind"]
+
+
+# kind -> (its table's binder, the number of its layout's fields and of its string fields)
+_LAYOUTS = {
+    kind: (_layout_binder(table, len(fields), _STRINGS[kind]), len(fields), _STRINGS[kind])
+    for table, (kind, fields) in enumerate(_TUPLE_FIELDS.items())
+}
+_OTHER = len(_LAYOUTS)  # the table of the rows whose detail is held as recorded
+_WHOLE = _OTHER + 1  # the table of the rows held whole, as recorded
+
+
+class _Codes(dict):
+    """Codes for values, each value held once: ``self[value]`` is its
+    code, a new one the first time, and ``values[code]`` the value."""
+
+    __slots__ = ("values",)
 
     def __init__(self) -> None:
-        self.rows: list[Row] = []
+        super().__init__()
+        self.values: list[Any] = []
+
+    def __missing__(self, value: Any) -> int:
+        code = self[value] = len(self.values)
+        self.values.append(value)
+        return code
+
+
+class TraceRecorder:
+    """The trace in memory: a sized, live iterable of rows, held in columns.
+
+    One byte per row names the table that holds it: a table per layout
+    kind (``t``, the node and string fields as codes into one string
+    table, the int fields) and one for any other detail (``t``, node and
+    kind codes, the detail as recorded). A row that fits no column is
+    held whole, so iteration gives back every row recorded, equal and of
+    the same types."""
+
+    __slots__ = ("_order", "_layouts", "_stores", "_other", "_whole", "_strings")
+
+    def __init__(self) -> None:
+        self._order = array("B")  # per row, its table
+        self._strings = _Codes()
+        # Per layout kind: t, node code, string field codes, int fields.
+        self._layouts = [(array("q"), array("I"), array("I"), array("q")) for _ in _LAYOUTS]
+        self._stores = {
+            kind: bind(self._strings, *columns) for (kind, (bind, _, _)), columns in zip(_LAYOUTS.items(), self._layouts)
+        }
+        # t, node code, kind code, the detail.
+        self._other: tuple[array, array, array, list[Any]] = (array("q"), array("I"), array("I"), [])
+        self._whole: list[Row] = []
 
     def record(self, t: int, kind: str, node: str | None, detail: dict[str, Any] | tuple) -> None:
-        self.rows.append((t, kind, node, detail))
+        store = self._stores.get(kind) if type(detail) is tuple and type(kind) is str else None
+        table = None if store is None else store(t, node, detail)
+        if table is None:
+            if type(t) is int and -_Q <= t < _Q and type(kind) is str and (node is None or type(node) is str):
+                table = _OTHER
+                strings = self._strings
+                ts, nodes, kinds, details = self._other
+                ts.append(t)
+                nodes.append(strings[node])
+                kinds.append(strings[kind])
+                details.append(detail)
+            else:
+                table = _WHOLE
+                self._whole.append((t, kind, node, detail))
+        self._order.append(table)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __iter__(self) -> Iterator[Row]:
+        string = self._strings.values.__getitem__
+        # Per table, its rows in order: a layout's detail regrouped from
+        # its string and int columns.
+        tables: list[Iterator[Row]] = [
+            zip(ts, repeat(kind), map(string, nodes), zip(*[map(string, strs)] * n, *[iter(ints)] * (width - n)))
+            for (kind, (_, width, n)), (ts, nodes, strs, ints) in zip(_LAYOUTS.items(), self._layouts)
+        ]
+        ts, nodes, kinds, details = self._other
+        tables += [zip(ts, map(string, kinds), map(string, nodes), details), iter(self._whole)]
+        return map(next, map(tables.__getitem__, self._order))
 
     # send and deliver append through record(), so a wrapper on record()
     # still sees every row.
@@ -97,7 +215,7 @@ def _tuple_format(kind: str, fields: tuple[str, ...]) -> str:
 
 # kind -> (line format, number of leading string fields) of a tuple detail
 _TUPLE_LINES = {
-    kind: (_tuple_format(kind, fields), sum(name not in _INT_FIELDS for name in fields))
+    kind: (_tuple_format(kind, fields), _STRINGS[kind])
     for kind, fields in _TUPLE_FIELDS.items()
 }
 
@@ -106,7 +224,15 @@ def _lines(rows: Iterable[Row]) -> Iterator[str]:
     """The JSONL lines of rows numbered by position, each the compact
     ``_ENCODER`` encoding of its entry dict. Strings are escaped as
     ``_ENCODER`` does (ASCII only)."""
-    encode, esc = _ENCODER.encode, encode_basestring_ascii
+    esc = encode_basestring_ascii
+    # The C encoder that _ENCODER.encode builds anew for every detail, built
+    # once per call with the arguments JSONEncoder.iterencode gives it. Its
+    # circular-reference markers, which a failed encode leaves behind, end
+    # with the call.
+    encode = c_make_encoder(
+        {}, _ENCODER.default, esc, _ENCODER.indent, _ENCODER.key_separator,
+        _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+    )
     tuple_lines = _TUPLE_LINES
     for seq, (t, kind, node, detail) in enumerate(rows):
         node = "null" if node is None else esc(node)
@@ -114,7 +240,7 @@ def _lines(rows: Iterable[Row]) -> Iterator[str]:
             fmt, n = tuple_lines[kind]
             yield fmt % (t, seq, node, *map(esc, detail[:n]), *detail[n:])
         else:
-            yield '{"t":%d,"seq":%d,"kind":%s,"node":%s,"detail":%s}\n' % (t, seq, esc(kind), node, encode(detail))
+            yield '{"t":%d,"seq":%d,"kind":%s,"node":%s,"detail":%s}\n' % (t, seq, esc(kind), node, "".join(encode(detail, 0)))
 
 
 def dump_jsonl(rows: Iterable[Row], path: str) -> None:

@@ -2,8 +2,8 @@
 at arbitrary ``run_until`` cuts writes the same JSONL bytes as one run;
 the rows read back from the JSONL file equal the recorder's, tuple
 details included; and metrics and verify give the same results on any
-iterable of the trace's rows: the recorder's row list, a list copy of
-it and the rows streamed from the file."""
+iterable of the trace's rows: the recorder, a list copy of its rows and
+the rows streamed from the file."""
 
 import json
 import random
@@ -27,7 +27,7 @@ def check_file_contracts(rows, scn, path):
     and the report agree on the rows, a list copy of them and the rows
     streamed from the file."""
     dump_jsonl(rows, path)
-    assert list(read_rows(path)) == rows
+    assert list(read_rows(path)) == list(rows)
     expected = verify_trace(rows, scn.base_latency, scn.topology)
     report = compute_metrics(rows, scn)
     for form in (lambda: list(rows), lambda: read_rows(path)):
@@ -44,7 +44,7 @@ def check_contracts(scn, seed, cuts, tmp_dir):
     split.run()
     assert dumps_jsonl(split.trace) == dumps_jsonl(whole.trace)
 
-    check_file_contracts(whole.sim.trace.rows, scn, str(Path(tmp_dir) / "trace.jsonl"))
+    check_file_contracts(whole.trace, scn, str(Path(tmp_dir) / "trace.jsonl"))
 
 
 @settings(max_examples=25, deadline=None)

@@ -61,8 +61,8 @@ def test_send_delivers_after_base_latency():
     assert got_b == []
     sim.run_until(3)
     assert got_b == [("msg", 3, "a", "hello")]
-    send = [e for e in entries(sim.trace.rows) if e["kind"] == "send"]
-    deliver = [e for e in entries(sim.trace.rows) if e["kind"] == "deliver"]
+    send = [e for e in entries(sim.trace) if e["kind"] == "send"]
+    deliver = [e for e in entries(sim.trace) if e["kind"] == "deliver"]
     assert send[0]["detail"]["msg_id"] == deliver[0]["detail"]["msg_id"]
     assert deliver[0]["detail"]["sent_at"] == 0
 
@@ -76,7 +76,7 @@ def test_jitter_bounded_and_deterministic():
         for i in range(50):
             sim.send("a", "b", i)
         sim.run_until(100)
-        for e in entries(sim.trace.rows):
+        for e in entries(sim.trace):
             if e["kind"] == "deliver":
                 local.append(e["t"])
         delays.add(tuple(local))
@@ -90,9 +90,9 @@ def test_full_loss_drops_everything_at_send():
     sim.send("a", "b", "x")
     sim.run_until(10)
     assert got_b == []
-    drops = [e for e in entries(sim.trace.rows) if e["kind"] == "drop"]
+    drops = [e for e in entries(sim.trace) if e["kind"] == "drop"]
     assert len(drops) == 1 and drops[0]["detail"]["reason"] == "loss"
-    assert not any(e["kind"] == "send" for e in entries(sim.trace.rows))
+    assert not any(e["kind"] == "send" for e in entries(sim.trace))
 
 
 def test_partition_checked_at_delivery_time():
@@ -102,7 +102,7 @@ def test_partition_checked_at_delivery_time():
     sim.send("a", "b", "in-flight")  # sent at 0, delivery at 2 falls inside the window
     sim.run_until(10)
     assert got_b == []
-    assert [e["detail"]["reason"] for e in entries(sim.trace.rows) if e["kind"] == "drop"] == ["partition"]
+    assert [e["detail"]["reason"] for e in entries(sim.trace) if e["kind"] == "drop"] == ["partition"]
     # after the window closes traffic flows again
     sim.send("a", "b", "later")
     sim.run_until(20)
@@ -117,7 +117,7 @@ def test_crash_cancels_timers_and_drops_deliveries():
     sim.inject_fault(Crash("b", at=2))
     sim.run_until(30)
     assert got_b == []
-    drops = [e for e in entries(sim.trace.rows) if e["kind"] == "drop"]
+    drops = [e for e in entries(sim.trace) if e["kind"] == "drop"]
     assert drops and drops[0]["detail"]["reason"] == "target_crashed"
 
 
@@ -145,7 +145,7 @@ def test_recover_bumps_epoch_and_calls_handler():
     assert recovered == [(5, Recover("a", 5))]
     assert sim.nodes["a"].epoch == 2
     # the timer armed before the crash stayed cancelled across recovery
-    timer_fires = [e for e in entries(sim.trace.rows) if e["kind"] == "module_error"]
+    timer_fires = [e for e in entries(sim.trace) if e["kind"] == "module_error"]
     assert timer_fires == []
 
 
@@ -161,7 +161,7 @@ def test_recover_handler_exception_becomes_module_error():
     sim.run_until(10)  # the loop runs on past the failed handler
     assert sim.nodes["a"].up
     assert got == [("timer", 6, "after", None)]
-    errors = [e for e in entries(sim.trace.rows) if e["kind"] == "module_error"]
+    errors = [e for e in entries(sim.trace) if e["kind"] == "module_error"]
     assert [(e["t"], e["node"]) for e in errors] == [(4, None)]
     assert "recovery bug" in errors[0]["detail"]["error"]
 
@@ -180,7 +180,7 @@ def test_set_loss_directive_mutates_network():
     sim.inject_fault(SetLoss(0.5, at=3))
     sim.run_until(5)
     assert sim.network.loss_probability == 0.5
-    assert any(e["kind"] == "set_loss" for e in entries(sim.trace.rows))
+    assert any(e["kind"] == "set_loss" for e in entries(sim.trace))
 
 
 def test_unknown_node_rejected_everywhere():
@@ -202,7 +202,7 @@ def test_handler_exception_becomes_module_error():
     sim.attach("b", on_message=boom, on_timer=lambda *a: None)
     sim.send("a", "b", "x")
     sim.run_until(5)
-    errors = [e for e in entries(sim.trace.rows) if e["kind"] == "module_error"]
+    errors = [e for e in entries(sim.trace) if e["kind"] == "module_error"]
     assert len(errors) == 1
     assert "component bug" in errors[0]["detail"]["error"]
 
@@ -241,6 +241,6 @@ def test_run_until_is_composable():
         sim.set_timer("a", 1, "tick")
         for t in stops:
             sim.run_until(t)
-        return entries(sim.trace.rows)
+        return entries(sim.trace)
 
     assert drive([100]) == drive([7, 8, 30, 99, 100])

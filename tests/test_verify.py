@@ -396,7 +396,7 @@ def mutated_runs(draw):
     details, after a few random edits, a wrong or missing ``sent_at`` in
     one delivery, and the insertion of a delivery that no send precedes."""
     scn, seed = draw(random_runs())
-    rows = list(run(scn, seed=seed).sim.trace.rows)
+    rows = list(run(scn, seed=seed).trace)
     nodes = scn.topology.nodes()
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(rows) - 1))
