@@ -309,6 +309,8 @@ class AnalysisParams:
             raise ValueError("capacity must be >= 1")
         if self.lookback < 1:
             raise ValueError("lookback must be >= 1")
+        if self.compare_interval < 1:
+            raise ValueError("compare_interval must be >= 1")
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:

@@ -46,6 +46,8 @@ class DetectorParams:
             raise ValueError("fanout must be >= 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.summary_interval < 1:
+            raise ValueError("summary_interval must be >= 1")
         if self.t_min is None:
             object.__setattr__(self, "t_min", 3 * gi)
         if self.t_max is None:

@@ -4,15 +4,23 @@ A scenario is a YAML (or JSON; YAML is a superset) document that fully
 determines a run together with the master seed: topology, network
 shape, component parameters, deployed services/containers/jobs, the
 pattern library, scripted workload, telemetry series, replica
-misbehavior windows and fault injections. Validation is eager and
-reports the path of the offending field, so a bad file fails before
-the simulation starts, with an error a human can act on.
+misbehavior windows and fault injections.
+
+The schema is closed: each mapping of the document has one table of its
+keys (``_DETECTOR`` for ``detector`` and so on), a fault, a predicate, a
+telemetry feed, an invocation and a policy update one per variant, and
+``_read`` rejects a key its table does not name before it reads a field.
+Only ``repair.policy`` and a service's ``table`` are free-form. The
+section parsers keep the rules across fields. Validation is eager and
+reports the path of the offending field, so a bad file fails before the
+simulation starts, with an error a human can act on.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,13 +175,283 @@ class Scenario:
     faults: tuple[FaultDirective, ...]
 
 
-# --- low-level field access ----------------------------------------------------
+# --- values: a validator takes a value in the file, its path and its bounds -------
 
-_MISSING = object()
+_REQUIRED = object()  # the default of a key that must be present
 
 
 def _fail(path: str, message: str) -> None:
     raise ScenarioError(path, message)
+
+
+def _str(v, path: str) -> str:
+    if not isinstance(v, str) or not v:
+        _fail(path, f"expected a non-empty string, got {v!r}")
+    return v
+
+
+def _opt_str(v, path: str) -> str | None:
+    """A non-empty string or null."""
+    return v if v is None else _str(v, path)
+
+
+def _text(v, path: str) -> str | None:
+    """Any string or null."""
+    if v is not None and not isinstance(v, str):
+        _fail(path, f"expected a string or null, got {v!r}")
+    return v
+
+
+def _int(v, path: str, minimum: int | None = None) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        _fail(path, f"expected an integer, got {v!r}")
+    if minimum is not None and v < minimum:
+        _fail(path, f"must be >= {minimum}, got {v}")
+    return v
+
+
+def _num(v, path: str, lo: float | None = None, hi: float | None = None) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        _fail(path, f"expected a finite number, got {v!r}")
+    v = float(v)
+    if lo is not None and v < lo:
+        _fail(path, f"must be >= {lo}, got {v}")
+    if hi is not None and v > hi:
+        _fail(path, f"must be <= {hi}, got {v}")
+    return v
+
+
+def _bool(v, path: str) -> bool:
+    if not isinstance(v, bool):
+        _fail(path, f"expected a boolean, got {v!r}")
+    return v
+
+
+def _list(v, path: str) -> list:
+    if not isinstance(v, list):
+        _fail(path, f"expected a list, got {type(v).__name__}")
+    return v
+
+
+def _map(v, path: str) -> dict:
+    if not isinstance(v, dict):
+        _fail(path, f"expected a mapping, got {type(v).__name__}")
+    return v
+
+
+def _choice(v, path: str, allowed: tuple) -> str:
+    if v not in allowed:
+        _fail(path, f"expected one of {sorted(allowed)}, got {v!r}")
+    return v
+
+
+def _strmap(v, path: str) -> dict:
+    """A free-form mapping of strings to strings."""
+    for key, value in _map(v, path).items():
+        if not isinstance(key, str) or not isinstance(value, str):
+            _fail(path, f"expected string -> string entries, got {key!r}: {value!r}")
+    return v
+
+
+def _strings(v, path: str) -> frozenset[str]:
+    if not all(isinstance(s, str) for s in _list(v, path)):
+        _fail(path, "expected a list of strings")
+    return frozenset(v)
+
+
+# --- the schema: one table per mapping ----------------------------------------------
+#
+# key -> (validator, default or _REQUIRED, *bounds). An absent key takes
+# its default as it stands. A default of None for a value that may not be
+# null stands for one derived from other fields: the file's name for
+# ``name``, twice the base latency for ``repair.retry_interval``, the id
+# for a service's ``class``, ``pattern-<index>`` for a pattern's ``id``,
+# ``until`` for a periodic invocation's ``stop``, and DetectorParams'
+# own rules for ``t_min``, ``t_max``, ``t_bootstrap`` and ``t_cleanup``.
+
+_SCENARIO = {
+    "name": (_str, None),
+    "seed": (_int, 0, 0),
+    "until": (_int, _REQUIRED, 1),
+    "network": (_map, {}),
+    "clusters": (_list, _REQUIRED),
+    "detector": (_map, {}),
+    "analysis": (_map, {}),
+    "repair": (_map, {}),
+    "ports": (_map, {}),
+    "services": (_list, []),
+    "containers": (_list, []),
+    "alternatives": (_list, []),
+    "jobs": (_list, []),
+    "patterns": (_list, []),
+    "forecasts": (_list, []),
+    "behaviors": (_list, []),
+    "security": (_map, {}),
+    "workload": (_map, {}),
+    "telemetry": (_list, []),
+    "faults": (_list, []),
+}
+_NETWORK = {"base_latency": (_int, 1, 1), "jitter": (_int, 0, 0), "loss": (_num, 0.0, 0.0, 1.0)}
+_CLUSTER = {"id": (_str, _REQUIRED), "nodes": (_list, _REQUIRED), "parent": (_opt_str, None)}
+_DETECTOR = {
+    "gossip_interval": (_int, 10, 1),
+    "fanout": (_int, 2, 1),
+    "window": (_int, 16, 1),
+    "k": (_num, 4.0, 0.0),
+    "t_min": (_int, None, 1),
+    "t_max": (_int, None, 1),
+    "t_bootstrap": (_int, None, 1),
+    "t_cleanup": (_int, None, 1),
+    "summary_interval": (_int, 20, 1),
+}
+_ANALYSIS = {"capacity": (_int, 128, 1), "lookback": (_int, 50, 1), "compare_interval": (_int, 10, 1)}
+_REPAIR = {"retry_interval": (_int, None, 1), "retry_max": (_int, 20, 0), "policy": (_strmap, DEFAULT_POLICY)}
+_PORTS = dict.fromkeys(("scheduler", "checkpoint_store", "index", "transfer"), (_map, {}))
+_PORT = {"latency": (_int, 1, 0), "fail": (_bool, False), "fail_refs": (_strings, frozenset())}
+_SERVICE = {"id": (_str, _REQUIRED), "class": (_str, None), "table": (_strmap, {}), "default": (_text, None)}
+_CONTAINER = {
+    "id": (_str, _REQUIRED),
+    "strategy": (_choice, _REQUIRED, ("failover", "active")),
+    "timeout": (_int, _REQUIRED, 1),
+    "replicas": (_list, _REQUIRED),
+}
+_REPLICA = {"host": (_str, _REQUIRED), "service": (_str, _REQUIRED)}
+_ALTERNATIVE = {"container": (_str, _REQUIRED), **_REPLICA}
+_JOB = {"id": (_str, _REQUIRED), "checkpoint": (_text, None)}
+_PATTERN = {
+    "id": (_str, None),
+    "fault_class": (_str, _REQUIRED),
+    "predicate": (_map, _REQUIRED),
+    "confidence": (_num, 0.5, 0.0, 1.0),
+}
+_STEP = {"metric": (_str, _REQUIRED), "cmp": (_choice, _REQUIRED, tuple(COMPARATORS))}
+_STEPS = {
+    "threshold": {**_STEP, "bound": (_num, _REQUIRED), "min_consecutive": (_int, 1, 1)},
+    "trend": {**_STEP, "k": (_int, _REQUIRED, 2), "slope_bound": (_num, _REQUIRED)},
+}
+_PREDICATES = {**_STEPS, "sequence": {"steps": (_list, _REQUIRED), "span": (_int, _REQUIRED, 1)}}
+_FORECAST = {
+    "source": (_str, _REQUIRED),
+    "metric": (_str, _REQUIRED),
+    "k": (_int, _REQUIRED, 1),
+    "horizon": (_int, _REQUIRED, 1),
+    "threshold": (_num, _REQUIRED),
+    "cmp": (_choice, ">", tuple(COMPARATORS)),
+    "period": (_int, 20, 1),
+    "start": (_int, 0, 0),
+    "fault_class": (_opt_str, None),
+}
+_SPAN = {"start": (_int, _REQUIRED, 0), "stop": (_int, _REQUIRED, 1)}
+_BEHAVIOR = {
+    **_REPLICA,
+    "kind": (_choice, _REQUIRED, ("corrupt", "slow")),
+    **_SPAN,
+    "value": (_text, None),
+    "delay": (_int, 0, 0),
+}
+_SECURITY = {"subjects": (_list, []), "objects": (_list, []), "rules": (_list, [])}
+_SUBJECT = {"id": (_str, _REQUIRED), "vos": (_list, [])}
+_OBJECT = {"id": (_str, _REQUIRED), "owner": (_str, _REQUIRED), "vo": (_str, _REQUIRED), "kind": (_str, "data")}
+_RULE = {
+    "scope": (_str, _REQUIRED),
+    "subject": (_str, _REQUIRED),
+    "object": (_str, _REQUIRED),
+    "ops": (_list, _REQUIRED),
+    "effect": (_choice, _REQUIRED, ("allow", "deny")),
+}
+_WORKLOAD = {"invocations": (_list, []), "accesses": (_list, []), "policy_updates": (_list, [])}
+_AT = {"at": (_int, _REQUIRED, 0)}
+_INVOKE = {"client": (_str, _REQUIRED), "container": (_str, _REQUIRED), "request": (_str, _REQUIRED)}
+_INVOKE_AT = {**_INVOKE, **_AT}
+_INVOKE_PERIODIC = {**_INVOKE, "start": (_int, _REQUIRED, 0), "period": (_int, _REQUIRED, 1), "stop": (_int, None, 1)}
+_ACCESS = {
+    "node": (_str, _REQUIRED),
+    "subject": (_str, _REQUIRED),
+    "object": (_str, _REQUIRED),
+    "op": (_choice, _REQUIRED, OPERATIONS),
+    **_AT,
+    "count": (_int, 1, 1),
+    "every": (_int, 1, 1),
+}
+_REMOVE = {"node": (_str, _REQUIRED), **_AT, "index": (_int, _REQUIRED, 0)}
+_POLICY_UPDATES = {"insert": {**_REMOVE, "rule": (_map, _REQUIRED)}, "remove": _REMOVE}
+_FEED = {"node": (_str, _REQUIRED), "source": (_str, _REQUIRED), "metric": (_str, _REQUIRED)}
+_TICKS = {**_FEED, **_SPAN, "every": (_int, 1, 1)}
+_TELEMETRY_AT = {**_FEED, **_AT, "value": (_num, _REQUIRED)}
+_TELEMETRY_SERIES = {**_TICKS, "value": (_num, _REQUIRED)}
+_TELEMETRY_RAMP = {**_TICKS, "from": (_num, _REQUIRED), "to": (_num, _REQUIRED)}
+_NODE_AT = {"node": (_str, _REQUIRED), **_AT}
+_FAULTS = {
+    "crash": _NODE_AT,
+    "recover": _NODE_AT,
+    "set_loss": {"probability": (_num, _REQUIRED, 0.0, 1.0), **_AT},
+    "partition": {"a": (_list, _REQUIRED), "b": (_list, _REQUIRED), **_SPAN},
+}
+
+
+# --- reading a mapping through its table ---------------------------------------------
+
+
+def _read(data, path: str, table: dict) -> dict:
+    """The fields of the mapping ``data`` at ``path``, key by key in
+    ``table`` order. A key the table does not name fails before any
+    field is read; an absent key takes its default, or fails when it is
+    _REQUIRED."""
+    for key in _map(data, path):
+        if key not in table:
+            _fail(f"{path}.{key}", f"unknown key (known: {', '.join(sorted(table))})")
+    fields = {}
+    for key, (check, default, *bounds) in table.items():
+        if key in data:
+            fields[key] = check(data[key], f"{path}.{key}", *bounds)
+        elif default is _REQUIRED:
+            _fail(f"{path}.{key}", "required field is missing")
+        else:
+            fields[key] = default
+    return fields
+
+
+def _variant(data, path: str, key: str, tables: dict[str, dict]) -> tuple[str, dict]:
+    """The value of ``data``'s ``key``, which names its table in ``tables``,
+    and the other fields read through that table and ``key``."""
+    if key not in _map(data, path):
+        _fail(f"{path}.{key}", "required field is missing")
+    choice = _choice(data[key], f"{path}.{key}", tuple(tables))
+    fields = _read(data, path, {key: (_str, _REQUIRED), **tables[choice]})
+    del fields[key]
+    return choice, fields
+
+
+def _entries(items: list, path: str, table: dict) -> Iterator[tuple[str, dict]]:
+    """(path, fields) of each mapping of the list ``items`` at ``path``."""
+    for i, item in enumerate(items):
+        yield f"{path}[{i}]", _read(item, f"{path}[{i}]", table)
+
+
+# --- checks on fields already read -----------------------------------------------------
+
+
+def _ref(fields: dict, path: str, key: str, known, what: str) -> str:
+    """Field ``key``, which must name a known node, service or container."""
+    v = fields[key]
+    if v not in known:
+        _fail(f"{path}.{key}", f"unknown {what} {v!r}")
+    return v
+
+
+def _new_id(v: str, path: str, taken, what: str) -> str:
+    """The entry's ``id``, which no earlier entry of its section may have."""
+    if v in taken:
+        _fail(f"{path}.id", f"duplicate {what} id {v!r}")
+    return v
+
+
+def _span(fields: dict, path: str) -> tuple[int, int]:
+    """The ``start``/``stop`` pair, which must have start < stop."""
+    start, stop = fields["start"], fields["stop"]
+    if stop <= start:
+        _fail(f"{path}.stop", f"must be > start ({start}), got {stop}")
+    return start, stop
 
 
 class _Expansion:
@@ -189,103 +467,10 @@ class _Expansion:
             _fail(path, f"scripted events would reach {self.total}, above the limit of {MAX_EXPANDED_EVENTS}")
 
 
-def _range_len(start: int, stop: int, step: int) -> int:
-    """len(range(start, stop, step)) for step >= 1, without the C-size
-    limit of ``len`` on a range."""
-    return max(0, -((start - stop) // step))
-
-
-def _field(data: dict, path: str, key: str, default=_MISSING):
-    if not isinstance(data, dict):
-        _fail(path, f"expected a mapping, got {type(data).__name__}")
-    if key in data:
-        return data[key]
-    if default is _MISSING:
-        _fail(f"{path}.{key}", "required field is missing")
-    return default
-
-
-def _str(data: dict, path: str, key: str, default=_MISSING) -> str:
-    v = _field(data, path, key, default)
-    if v is default and default is not _MISSING:
-        return v
-    if not isinstance(v, str) or not v:
-        _fail(f"{path}.{key}", f"expected a non-empty string, got {v!r}")
-    return v
-
-
-def _int(data: dict, path: str, key: str, default=_MISSING, minimum: int | None = None) -> int:
-    v = _field(data, path, key, default)
-    if not isinstance(v, int) or isinstance(v, bool):
-        _fail(f"{path}.{key}", f"expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    return v
-
-
-def _num(data: dict, path: str, key: str, default=_MISSING, lo: float | None = None, hi: float | None = None) -> float:
-    v = _field(data, path, key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        _fail(f"{path}.{key}", f"expected a finite number, got {v!r}")
-    v = float(v)
-    if lo is not None and v < lo:
-        _fail(f"{path}.{key}", f"must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        _fail(f"{path}.{key}", f"must be <= {hi}, got {v}")
-    return v
-
-
-def _bool(data: dict, path: str, key: str, default=_MISSING) -> bool:
-    v = _field(data, path, key, default)
-    if not isinstance(v, bool):
-        _fail(f"{path}.{key}", f"expected a boolean, got {v!r}")
-    return v
-
-
-def _list(data: dict, path: str, key: str, default=_MISSING) -> list:
-    v = _field(data, path, key, default)
-    if not isinstance(v, list):
-        _fail(f"{path}.{key}", f"expected a list, got {type(v).__name__}")
-    return v
-
-
-def _map(data: dict, path: str, key: str, default=_MISSING) -> dict:
-    v = _field(data, path, key, default)
-    if not isinstance(v, dict):
-        _fail(f"{path}.{key}", f"expected a mapping, got {type(v).__name__}")
-    return v
-
-
-def _choice(data: dict, path: str, key: str, allowed: tuple, default=_MISSING) -> str:
-    v = _field(data, path, key, default)
-    if v not in allowed:
-        _fail(f"{path}.{key}", f"expected one of {sorted(allowed)}, got {v!r}")
-    return v
-
-
-def _ref(data: dict, path: str, key: str, known, what: str) -> str:
-    """A string field that must name a known node, service or container."""
-    v = _str(data, path, key)
-    if v not in known:
-        _fail(f"{path}.{key}", f"unknown {what} {v!r}")
-    return v
-
-
-def _new_id(data: dict, path: str, taken, what: str, default=_MISSING) -> str:
-    """The entry's ``id``, which no earlier entry of its section may have."""
-    v = _str(data, path, "id", default)
-    if v in taken:
-        _fail(f"{path}.id", f"duplicate {what} id {v!r}")
-    return v
-
-
-def _span(data: dict, path: str) -> tuple[int, int]:
-    """A ``start``/``stop`` pair with start < stop."""
-    start = _int(data, path, "start", minimum=0)
-    stop = _int(data, path, "stop", minimum=1)
-    if stop <= start:
-        _fail(f"{path}.stop", f"must be > start ({start}), got {stop}")
-    return start, stop
+def _range_len(ticks: range) -> int:
+    """len(ticks) for a step >= 1, without the C-size limit of ``len`` on
+    a range."""
+    return max(0, -((ticks.start - ticks.stop) // ticks.step))
 
 
 @contextmanager
@@ -297,23 +482,20 @@ def _checked(path: str):
         _fail(path, str(exc))
 
 
-# --- section parsers -------------------------------------------------------------
+# --- the rules across fields -----------------------------------------------------------
 
 
-def _parse_topology(data: dict) -> ClusterTopology:
-    clusters: dict[str, tuple[str, ...]] = {}
-    parent: dict[str, str | None] = {}
-    items = _list(data, "scenario", "clusters")
+def _parse_topology(items: list) -> ClusterTopology:
     if not items:
         _fail("scenario.clusters", "at least one cluster is required")
-    for i, c in enumerate(items):
-        path = f"clusters[{i}]"
-        cid = _new_id(c, path, clusters, "cluster")
-        nodes = _list(c, path, "nodes")
-        if not nodes or not all(isinstance(n, str) and n for n in nodes):
+    clusters: dict[str, tuple[str, ...]] = {}
+    parent: dict[str, str | None] = {}
+    for path, c in _entries(items, "clusters", _CLUSTER):
+        cid = _new_id(c["id"], path, clusters, "cluster")
+        if not c["nodes"] or not all(isinstance(n, str) and n for n in c["nodes"]):
             _fail(f"{path}.nodes", "expected a non-empty list of node ids")
-        clusters[cid] = tuple(nodes)
-        parent[cid] = _str(c, path, "parent", None)
+        clusters[cid] = tuple(c["nodes"])
+        parent[cid] = c["parent"]
     pairs = sum(len(members) ** 2 for members in clusters.values())
     if pairs > MAX_CLUSTER_PAIRS:
         _fail("clusters", f"clusters would hold {pairs} (node, member) pairs, above the limit of {MAX_CLUSTER_PAIRS}")
@@ -321,368 +503,177 @@ def _parse_topology(data: dict) -> ClusterTopology:
         return ClusterTopology(clusters, parent)
 
 
-def _parse_detector(data: dict) -> DetectorParams:
-    d = _map(data, "scenario", "detector", {})
-    with _checked("detector"):
-        return DetectorParams(
-            gossip_interval=_int(d, "detector", "gossip_interval", 10, minimum=1),
-            fanout=_int(d, "detector", "fanout", 2, minimum=1),
-            window=_int(d, "detector", "window", 16, minimum=1),
-            k=_num(d, "detector", "k", 4.0, lo=0.0),
-            t_min=None if "t_min" not in d else _int(d, "detector", "t_min", minimum=1),
-            t_max=None if "t_max" not in d else _int(d, "detector", "t_max", minimum=1),
-            t_bootstrap=None if "t_bootstrap" not in d else _int(d, "detector", "t_bootstrap", minimum=1),
-            t_cleanup=None if "t_cleanup" not in d else _int(d, "detector", "t_cleanup", minimum=1),
-            summary_interval=_int(d, "detector", "summary_interval", 20, minimum=1),
-        )
-
-
-def _parse_analysis(data: dict) -> AnalysisParams:
-    d = _map(data, "scenario", "analysis", {})
-    with _checked("analysis"):
-        return AnalysisParams(
-            capacity=_int(d, "analysis", "capacity", 128, minimum=1),
-            lookback=_int(d, "analysis", "lookback", 50, minimum=1),
-            compare_interval=_int(d, "analysis", "compare_interval", 10, minimum=1),
-        )
-
-
-def _parse_repair(data: dict, base_latency: int) -> RepairConfig:
-    d = _map(data, "scenario", "repair", {})
-    policy = _map(d, "repair", "policy", dict(DEFAULT_POLICY))
-    for fc, recipe in policy.items():
-        if not isinstance(fc, str) or not isinstance(recipe, str):
-            _fail("repair.policy", f"expected string -> string entries, got {fc!r}: {recipe!r}")
-    return RepairConfig(
-        retry_interval=_int(d, "repair", "retry_interval", 2 * base_latency, minimum=1),
-        retry_max=_int(d, "repair", "retry_max", 20, minimum=0),
-        policy=tuple(sorted(policy.items())),
-    )
-
-
-_PORT_NAMES = ("scheduler", "checkpoint_store", "index", "transfer")
-
-
-def _parse_ports(data: dict) -> ServicePorts:
-    d = _map(data, "scenario", "ports", {})
-    scripts = {}
-    for name in _PORT_NAMES:
-        p = _map(d, "ports", name, {})
-        path = f"ports.{name}"
-        refs = _list(p, path, "fail_refs", [])
-        if not all(isinstance(r, str) for r in refs):
-            _fail(f"{path}.fail_refs", "expected a list of strings")
-        scripts[name] = PortScript(
-            latency=_int(p, path, "latency", 1, minimum=0),
-            fail=_bool(p, path, "fail", False),
-            fail_refs=frozenset(refs),
-        )
-    return ServicePorts(**scripts)
-
-
-def _parse_services(data: dict) -> dict[str, ServiceSpec]:
+def _parse_services(items: list) -> dict[str, ServiceSpec]:
     out: dict[str, ServiceSpec] = {}
-    for i, s in enumerate(_list(data, "scenario", "services", [])):
-        path = f"services[{i}]"
-        sid = _new_id(s, path, out, "service")
-        table = _map(s, path, "table", {})
-        for k, v in table.items():
-            if not isinstance(k, str) or not isinstance(v, str):
-                _fail(f"{path}.table", f"expected string -> string entries, got {k!r}: {v!r}")
-        default = _field(s, path, "default", None)
-        if default is not None and not isinstance(default, str):
-            _fail(f"{path}.default", f"expected a string or null, got {default!r}")
-        out[sid] = ServiceSpec(
-            service_id=sid,
-            equivalence_class=_str(s, path, "class", sid),
-            table=dict(table),
-            default=default,
-        )
+    for path, s in _entries(items, "services", _SERVICE):
+        sid, cls, table, default = s.values()
+        out[_new_id(sid, path, out, "service")] = ServiceSpec(sid, cls or sid, dict(table), default)
     return out
 
 
-def _parse_containers(
-    data: dict, nodes: set[str], services: dict[str, ServiceSpec]
-) -> tuple[ContainerSpec, ...]:
+def _parse_containers(top: dict, nodes: set[str], services: dict[str, ServiceSpec]):
+    """The containers and their spares, the alternatives."""
     out: dict[str, ContainerSpec] = {}
-    for i, c in enumerate(_list(data, "scenario", "containers", [])):
-        path = f"containers[{i}]"
-        cid = _new_id(c, path, out, "container")
-        strategy = _choice(c, path, "strategy", ("failover", "active"))
-        replicas: list[Replica] = []
-        for j, r in enumerate(_list(c, path, "replicas")):
-            rpath = f"{path}.replicas[{j}]"
-            host = _ref(r, rpath, "host", nodes, "node")
-            service = _ref(r, rpath, "service", services, "service")
-            replicas.append(Replica(host, service))
+    for path, c in _entries(top["containers"], "containers", _CONTAINER):
+        cid = _new_id(c["id"], path, out, "container")
+        replicas = tuple(
+            Replica(_ref(r, rpath, "host", nodes, "node"), _ref(r, rpath, "service", services, "service"))
+            for rpath, r in _entries(c["replicas"], f"{path}.replicas", _REPLICA)
+        )
         classes = {services[r.service_id].equivalence_class for r in replicas}
         if len(classes) > 1:
             _fail(f"{path}.replicas", f"replicas span several equivalence classes: {sorted(classes)}")
         with _checked(path):
-            out[cid] = ContainerSpec(
-                container_id=cid,
-                strategy=Strategy(strategy),
-                timeout=_int(c, path, "timeout", minimum=1),
-                replicas=tuple(replicas),
-            )
-    return tuple(out.values())
-
-
-def _parse_alternatives(
-    data: dict, nodes: set[str], services: dict[str, ServiceSpec], containers: tuple[ContainerSpec, ...]
-) -> tuple[Alternative, ...]:
-    by_id = {c.container_id: c for c in containers}
-    out: list[Alternative] = []
-    for i, a in enumerate(_list(data, "scenario", "alternatives", [])):
-        path = f"alternatives[{i}]"
-        cid = _ref(a, path, "container", by_id, "container")
+            out[cid] = ContainerSpec(cid, Strategy(c["strategy"]), c["timeout"], replicas)
+    alternatives: list[Alternative] = []
+    for path, a in _entries(top["alternatives"], "alternatives", _ALTERNATIVE):
+        cid = _ref(a, path, "container", out, "container")
         host = _ref(a, path, "host", nodes, "node")
         service = _ref(a, path, "service", services, "service")
-        have = services[by_id[cid].replicas[0].service_id].equivalence_class
+        have = services[out[cid].replicas[0].service_id].equivalence_class
         got = services[service].equivalence_class
         if got != have:
             _fail(f"{path}.service", f"equivalence class {got!r} does not match container's {have!r}")
-        out.append(Alternative(cid, host, service))
-    return tuple(out)
+        alternatives.append(Alternative(cid, host, service))
+    return tuple(out.values()), tuple(alternatives)
 
 
-def _parse_jobs(data: dict) -> tuple[JobSpec, ...]:
-    out: dict[str, JobSpec] = {}
-    for i, j in enumerate(_list(data, "scenario", "jobs", [])):
-        path = f"jobs[{i}]"
-        jid = _new_id(j, path, out, "job")
-        ckpt = _field(j, path, "checkpoint", None)
-        if ckpt is not None and not isinstance(ckpt, str):
-            _fail(f"{path}.checkpoint", f"expected a string or null, got {ckpt!r}")
-        out[jid] = JobSpec(jid, ckpt)
-    return tuple(out.values())
+_PREDICATE_TYPES = {"threshold": Threshold, "trend": Trend, "sequence": Sequence}
 
 
-def _parse_step(d: dict, path: str):
-    kind = _choice(d, path, "type", ("threshold", "trend"))
+def _parse_predicate(data, path: str, tables: dict[str, dict]):
+    kind, fields = _variant(data, path, "type", tables)
+    if kind == "sequence":
+        steps = enumerate(fields["steps"])
+        fields["steps"] = tuple(_parse_predicate(s, f"{path}.steps[{j}]", _STEPS) for j, s in steps)
     with _checked(path):
-        if kind == "threshold":
-            return Threshold(
-                metric=_str(d, path, "metric"),
-                cmp=_choice(d, path, "cmp", tuple(COMPARATORS)),
-                bound=_num(d, path, "bound"),
-                min_consecutive=_int(d, path, "min_consecutive", 1, minimum=1),
-            )
-        return Trend(
-            metric=_str(d, path, "metric"),
-            k=_int(d, path, "k", minimum=2),
-            cmp=_choice(d, path, "cmp", tuple(COMPARATORS)),
-            slope_bound=_num(d, path, "slope_bound"),
-        )
+        return _PREDICATE_TYPES[kind](**fields)
 
 
-def _parse_patterns(data: dict) -> tuple[Pattern, ...]:
+def _parse_patterns(items: list) -> tuple[Pattern, ...]:
     out: dict[str, Pattern] = {}
-    for i, p in enumerate(_list(data, "scenario", "patterns", [])):
-        path = f"patterns[{i}]"
-        pid = _new_id(p, path, out, "pattern", f"pattern-{i}")
-        pd = _map(p, path, "predicate")
-        ppath = f"{path}.predicate"
-        ptype = _choice(pd, ppath, "type", ("threshold", "trend", "sequence"))
-        if ptype == "sequence":
-            steps = [_parse_step(s, f"{ppath}.steps[{j}]") for j, s in enumerate(_list(pd, ppath, "steps"))]
-            with _checked(ppath):
-                predicate = Sequence(steps=tuple(steps), span=_int(pd, ppath, "span", minimum=1))
-        else:
-            predicate = _parse_step(pd, ppath)
-        out[pid] = Pattern(
-            pattern_id=pid,
-            fault_class=_str(p, path, "fault_class"),
-            predicate=predicate,
-            confidence=_num(p, path, "confidence", 0.5, lo=0.0, hi=1.0),
-            origin="predefined",
-        )
+    for i, (path, p) in enumerate(_entries(items, "patterns", _PATTERN)):
+        pid = _new_id(p["id"] or f"pattern-{i}", path, out, "pattern")
+        predicate = _parse_predicate(p["predicate"], f"{path}.predicate", _PREDICATES)
+        out[pid] = Pattern(pid, p["fault_class"], predicate, p["confidence"], origin="predefined")
     return tuple(out.values())
 
 
-def _parse_forecasts(data: dict) -> tuple[ForecastSpec, ...]:
-    out: list[ForecastSpec] = []
-    for i, f in enumerate(_list(data, "scenario", "forecasts", [])):
-        path = f"forecasts[{i}]"
-        fault_class = _str(f, path, "fault_class", None)
-        out.append(
-            ForecastSpec(
-                source=_str(f, path, "source"),
-                metric=_str(f, path, "metric"),
-                k=_int(f, path, "k", minimum=1),
-                horizon=_int(f, path, "horizon", minimum=1),
-                threshold=_num(f, path, "threshold"),
-                cmp=_choice(f, path, "cmp", tuple(COMPARATORS), ">"),
-                period=_int(f, path, "period", 20, minimum=1),
-                start=_int(f, path, "start", 0, minimum=0),
-                fault_class=fault_class,
-            )
-        )
-    return tuple(out)
-
-
-def _parse_behaviors(data: dict, nodes: set[str], services: dict[str, ServiceSpec]) -> tuple[BehaviorWindow, ...]:
+def _parse_behaviors(items: list, nodes: set[str], services: dict[str, ServiceSpec]) -> tuple[BehaviorWindow, ...]:
     out: list[BehaviorWindow] = []
-    for i, b in enumerate(_list(data, "scenario", "behaviors", [])):
-        path = f"behaviors[{i}]"
-        host = _ref(b, path, "host", nodes, "node")
-        service = _ref(b, path, "service", services, "service")
-        kind = _choice(b, path, "kind", ("corrupt", "slow"))
-        start, stop = _span(b, path)
-        value = _field(b, path, "value", None)
-        if value is not None and not isinstance(value, str):
-            _fail(f"{path}.value", f"expected a string or null, got {value!r}")
-        delay = _int(b, path, "delay", 0, minimum=0)
-        if kind == "slow" and delay < 1:
+    for path, b in _entries(items, "behaviors", _BEHAVIOR):
+        _ref(b, path, "host", nodes, "node")
+        _ref(b, path, "service", services, "service")
+        _span(b, path)
+        window = BehaviorWindow(*b.values())
+        if window.kind == "slow" and window.delay < 1:
             _fail(f"{path}.delay", "slow behavior needs delay >= 1")
-        out.append(BehaviorWindow(host, service, kind, start, stop, value, delay))
+        out.append(window)
     return tuple(out)
 
 
-def _parse_security(data: dict):
-    sec = _map(data, "scenario", "security", {})
+def _parse_security(data):
+    sec = _read(data, "security", _SECURITY)
     subjects: dict[str, Subject] = {}
-    for i, s in enumerate(_list(sec, "security", "subjects", [])):
-        path = f"security.subjects[{i}]"
-        sid = _new_id(s, path, subjects, "subject")
-        vos = _list(s, path, "vos", [])
-        if not all(isinstance(v, str) and v for v in vos):
+    for path, s in _entries(sec["subjects"], "security.subjects", _SUBJECT):
+        sid = _new_id(s["id"], path, subjects, "subject")
+        if not all(isinstance(v, str) and v for v in s["vos"]):
             _fail(f"{path}.vos", "expected a list of VO names")
-        subjects[sid] = Subject(sid, frozenset(vos))
+        subjects[sid] = Subject(sid, frozenset(s["vos"]))
     objects: dict[str, ObjectEntry] = {}
-    for i, o in enumerate(_list(sec, "security", "objects", [])):
-        path = f"security.objects[{i}]"
-        oid = _new_id(o, path, objects, "object")
-        objects[oid] = ObjectEntry(
-            object_id=oid,
-            owner=_str(o, path, "owner"),
-            vo=_str(o, path, "vo"),
-            kind=_str(o, path, "kind", "data"),
-        )
-    rules: list[Rule] = []
-    for i, r in enumerate(_list(sec, "security", "rules", [])):
-        rules.append(_parse_rule(r, f"security.rules[{i}]"))
-    return subjects, objects, tuple(rules)
+    for path, o in _entries(sec["objects"], "security.objects", _OBJECT):
+        objects[_new_id(o["id"], path, objects, "object")] = ObjectEntry(*o.values())
+    rules = tuple(_parse_rule(r, f"security.rules[{i}]") for i, r in enumerate(sec["rules"]))
+    return subjects, objects, rules
 
 
-def _parse_rule(r: dict, path: str) -> Rule:
-    ops = _list(r, path, "ops")
-    for op in ops:
+def _parse_rule(data, path: str) -> Rule:
+    r = _read(data, path, _RULE)
+    for op in r["ops"]:
         if op not in OPERATIONS:
             _fail(f"{path}.ops", f"unknown operation {op!r}")
     with _checked(path):
-        return Rule(
-            scope=_str(r, path, "scope"),
-            subject=_str(r, path, "subject"),
-            object_id=_str(r, path, "object"),
-            ops=frozenset(ops),
-            effect=_choice(r, path, "effect", ("allow", "deny")),
-        )
+        return Rule(r["scope"], r["subject"], r["object"], frozenset(r["ops"]), r["effect"])
 
 
-def _parse_workload(
-    data: dict, nodes: set[str], containers: tuple[ContainerSpec, ...], until: int, expansion: _Expansion
-):
-    wl = _map(data, "scenario", "workload", {})
+def _parse_workload(data, nodes: set[str], containers: tuple[ContainerSpec, ...], until: int, expansion: _Expansion):
+    wl = _read(data, "workload", _WORKLOAD)
     known_containers = {c.container_id for c in containers}
 
     invocations: list[InvokeEvent] = []
-    for i, w in enumerate(_list(wl, "workload", "invocations", [])):
+    for i, w in enumerate(wl["invocations"]):
         path = f"workload.invocations[{i}]"
+        w = _read(w, path, _INVOKE_AT if "at" in _map(w, path) else _INVOKE_PERIODIC)
         client = _ref(w, path, "client", nodes, "node")
         container = _ref(w, path, "container", known_containers, "container")
-        request = _str(w, path, "request")
         if "at" in w:
-            expansion.take(1, path)
-            invocations.append(InvokeEvent(_int(w, path, "at", minimum=0), client, container, request))
-            continue
-        start = _int(w, path, "start", minimum=0)
-        period = _int(w, path, "period", minimum=1)
-        stop = _int(w, path, "stop", until, minimum=1)
-        expansion.take(_range_len(start, min(stop, until), period), path)
-        for at in range(start, min(stop, until), period):
-            invocations.append(InvokeEvent(at, client, container, request))
+            ticks = range(w["at"], w["at"] + 1)
+        else:
+            ticks = range(w["start"], min(w["stop"] or until, until), w["period"])
+        expansion.take(_range_len(ticks), path)
+        invocations += (InvokeEvent(at, client, container, w["request"]) for at in ticks)
 
     accesses: list[AccessEvent] = []
-    req_seq = 0
-    for i, w in enumerate(_list(wl, "workload", "accesses", [])):
-        path = f"workload.accesses[{i}]"
-        node = _ref(w, path, "node", nodes, "node")
-        subject = _str(w, path, "subject")
-        object_id = _str(w, path, "object")
-        op = _choice(w, path, "op", OPERATIONS)
-        at = _int(w, path, "at", minimum=0)
-        count = _int(w, path, "count", 1, minimum=1)
-        every = _int(w, path, "every", 1, minimum=1)
+    for path, w in _entries(wl["accesses"], "workload.accesses", _ACCESS):
+        _ref(w, path, "node", nodes, "node")
+        node, subject, object_id, op, at, count, every = w.values()
         expansion.take(count, f"{path}.count")
         for j in range(count):
-            req_seq += 1
-            accesses.append(AccessEvent(at + j * every, node, f"a{req_seq}", subject, object_id, op))
+            accesses.append(AccessEvent(at + j * every, node, f"a{len(accesses) + 1}", subject, object_id, op))
 
     policy_updates: list[PolicyEvent] = []
-    for i, w in enumerate(_list(wl, "workload", "policy_updates", [])):
+    for i, w in enumerate(wl["policy_updates"]):
         path = f"workload.policy_updates[{i}]"
-        node = _ref(w, path, "node", nodes, "node")
-        action = _choice(w, path, "action", ("insert", "remove"))
-        rule = None
-        if action == "insert":
-            rule = _parse_rule(_map(w, path, "rule"), f"{path}.rule")
-        policy_updates.append(
-            PolicyEvent(_int(w, path, "at", minimum=0), node, action, _int(w, path, "index", minimum=0), rule)
-        )
+        action, w = _variant(w, path, "action", _POLICY_UPDATES)
+        rule = _parse_rule(w["rule"], f"{path}.rule") if action == "insert" else None
+        policy_updates.append(PolicyEvent(w["at"], _ref(w, path, "node", nodes, "node"), action, w["index"], rule))
 
     return tuple(invocations), tuple(accesses), tuple(policy_updates)
 
 
-def _parse_telemetry(data: dict, nodes: set[str], expansion: _Expansion) -> tuple[TelemetryEvent, ...]:
+def _parse_telemetry(items: list, nodes: set[str], expansion: _Expansion) -> tuple[TelemetryEvent, ...]:
     out: list[TelemetryEvent] = []
-    for i, t in enumerate(_list(data, "scenario", "telemetry", [])):
+    for i, t in enumerate(items):
         path = f"telemetry[{i}]"
-        node = _ref(t, path, "node", nodes, "node")
-        source = _str(t, path, "source")
-        metric = _str(t, path, "metric")
-        if "at" in t:
-            expansion.take(1, path)
-            out.append(TelemetryEvent(_int(t, path, "at", minimum=0), node, source, metric, _num(t, path, "value")))
-            continue
-        start, stop = _span(t, path)
-        every = _int(t, path, "every", 1, minimum=1)
-        expansion.take(_range_len(start, stop, every), path)
-        ticks = range(start, stop, every)
-        if "from" in t or "to" in t:
-            lo = _num(t, path, "from")
-            hi = _num(t, path, "to")
-            span = max(len(ticks) - 1, 1)
-            for j, at in enumerate(ticks):
-                out.append(TelemetryEvent(at, node, source, metric, lo + (hi - lo) * j / span))
+        if "at" in _map(t, path):
+            shape = _TELEMETRY_AT
         else:
-            value = _num(t, path, "value")
-            for at in ticks:
-                out.append(TelemetryEvent(at, node, source, metric, value))
+            shape = _TELEMETRY_RAMP if "from" in t or "to" in t else _TELEMETRY_SERIES
+        fields = _read(t, path, shape)
+        node = _ref(fields, path, "node", nodes, "node")
+        source, metric = fields["source"], fields["metric"]
+        if shape is _TELEMETRY_AT:
+            ticks = range(fields["at"], fields["at"] + 1)
+        else:
+            ticks = range(*_span(fields, path), fields["every"])
+        expansion.take(_range_len(ticks), path)
+        if shape is _TELEMETRY_RAMP:
+            lo, hi = fields["from"], fields["to"]
+            span = max(len(ticks) - 1, 1)
+            out += (TelemetryEvent(at, node, source, metric, lo + (hi - lo) * j / span) for j, at in enumerate(ticks))
+        else:
+            out += (TelemetryEvent(at, node, source, metric, fields["value"]) for at in ticks)
     return tuple(out)
 
 
-def _parse_faults(data: dict, nodes: set[str]) -> tuple[FaultDirective, ...]:
+def _parse_faults(items: list, nodes: set[str]) -> tuple[FaultDirective, ...]:
     out: list[FaultDirective] = []
-    for i, f in enumerate(_list(data, "scenario", "faults", [])):
+    for i, f in enumerate(items):
         path = f"faults[{i}]"
-        kind = _choice(f, path, "kind", ("crash", "recover", "set_loss", "partition"))
+        kind, fields = _variant(f, path, "kind", _FAULTS)
         if kind in ("crash", "recover"):
-            node = _ref(f, path, "node", nodes, "node")
-            at = _int(f, path, "at", minimum=0)
-            out.append(Crash(node, at) if kind == "crash" else Recover(node, at))
+            node = _ref(fields, path, "node", nodes, "node")
+            out.append((Crash if kind == "crash" else Recover)(node, fields["at"]))
         elif kind == "set_loss":
-            out.append(SetLoss(_num(f, path, "probability", lo=0.0, hi=1.0), _int(f, path, "at", minimum=0)))
+            out.append(SetLoss(**fields))
         else:
-            a = _list(f, path, "a")
-            b = _list(f, path, "b")
+            a, b = fields["a"], fields["b"]
             for side, label in ((a, "a"), (b, "b")):
                 if not side or not all(isinstance(n, str) and n in nodes for n in side):
                     _fail(f"{path}.{label}", "expected a non-empty list of known node ids")
             if set(a) & set(b):
                 _fail(f"{path}.b", "partition sides overlap")
-            start, stop = _span(f, path)
-            out.append(Partition(frozenset(a), frozenset(b), start, stop))
+            out.append(Partition(frozenset(a), frozenset(b), *_span(fields, path)))
     return tuple(out)
 
 
@@ -694,52 +685,52 @@ def parse_scenario(data, default_name: str = "scenario", until: int | None = Non
     file's end tick, which open-ended periodic entries expand up to."""
     if not isinstance(data, dict):
         _fail("scenario", f"expected a mapping at the top level, got {type(data).__name__}")
-    name = _str(data, "scenario", "name", default_name)
-    seed = _int(data, "scenario", "seed", 0, minimum=0)
-    file_until = _int(data, "scenario", "until", minimum=1)
-    until = file_until if until is None else until
+    top = _read(data, "scenario", _SCENARIO)
+    until = top["until"] if until is None else until
+    net = _read(top["network"], "network", _NETWORK)
 
-    net = _map(data, "scenario", "network", {})
-    base_latency = _int(net, "network", "base_latency", 1, minimum=1)
-    jitter = _int(net, "network", "jitter", 0, minimum=0)
-    loss = _num(net, "network", "loss", 0.0, lo=0.0, hi=1.0)
-
-    topology = _parse_topology(data)
+    topology = _parse_topology(top["clusters"])
     nodes = set(topology.nodes())
-    services = _parse_services(data)
-    containers = _parse_containers(data, nodes, services)
-    alternatives = _parse_alternatives(data, nodes, services, containers)
-    subjects, objects, rules = _parse_security(data)
+    services = _parse_services(top["services"])
+    containers, alternatives = _parse_containers(top, nodes, services)
+    subjects, objects, rules = _parse_security(top["security"])
     expansion = _Expansion()
-    invocations, accesses, policy_updates = _parse_workload(data, nodes, containers, until, expansion)
+    invocations, accesses, policy_updates = _parse_workload(top["workload"], nodes, containers, until, expansion)
+
+    with _checked("detector"):
+        detector = DetectorParams(**_read(top["detector"], "detector", _DETECTOR))
+    repair = _read(top["repair"], "repair", _REPAIR)
+    policy = tuple(sorted(repair["policy"].items()))
+    ports = _read(top["ports"], "ports", _PORTS)
+    jobs: dict[str, JobSpec] = {}
+    for path, j in _entries(top["jobs"], "jobs", _JOB):
+        jobs[_new_id(j["id"], path, jobs, "job")] = JobSpec(j["id"], j["checkpoint"])
 
     return Scenario(
-        name=name,
-        seed=seed,
+        name=top["name"] or default_name,
+        seed=top["seed"],
         until=until,
-        base_latency=base_latency,
-        jitter=jitter,
-        loss=loss,
+        **net,
         topology=topology,
-        detector=_parse_detector(data),
-        analysis=_parse_analysis(data),
-        repair=_parse_repair(data, base_latency),
-        ports=_parse_ports(data),
+        detector=detector,
+        analysis=AnalysisParams(**_read(top["analysis"], "analysis", _ANALYSIS)),
+        repair=RepairConfig(repair["retry_interval"] or 2 * net["base_latency"], repair["retry_max"], policy),
+        ports=ServicePorts(**{name: PortScript(**_read(p, f"ports.{name}", _PORT)) for name, p in ports.items()}),
         services=services,
         containers=containers,
         alternatives=alternatives,
-        jobs=_parse_jobs(data),
-        patterns=_parse_patterns(data),
-        forecasts=_parse_forecasts(data),
-        behaviors=_parse_behaviors(data, nodes, services),
+        jobs=tuple(jobs.values()),
+        patterns=_parse_patterns(top["patterns"]),
+        forecasts=tuple(ForecastSpec(**f) for _, f in _entries(top["forecasts"], "forecasts", _FORECAST)),
+        behaviors=_parse_behaviors(top["behaviors"], nodes, services),
         subjects=subjects,
         objects=objects,
         rules=rules,
         invocations=invocations,
         accesses=accesses,
         policy_updates=policy_updates,
-        telemetry=_parse_telemetry(data, nodes, expansion),
-        faults=_parse_faults(data, nodes),
+        telemetry=_parse_telemetry(top["telemetry"], nodes, expansion),
+        faults=_parse_faults(top["faults"], nodes),
     )
 
 

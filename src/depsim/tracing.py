@@ -22,7 +22,8 @@ int fields of a tuple detail in 64-bit arrays, and the node, the kind
 and the string fields of a tuple detail as codes into one table that
 holds each distinct string once. It is the run's trace: sized, live
 while the run goes on, and iterating it builds each row again, equal to
-the one recorded and of the same types.
+the one recorded and of the same types. It refuses a row the writer
+cannot write.
 
 The JSONL writer formats each line straight from its row, a tuple
 detail through a format built once per kind from its layout, so the
@@ -112,7 +113,6 @@ _LAYOUTS = {
     for table, (kind, fields) in enumerate(_TUPLE_FIELDS.items())
 }
 _OTHER = len(_LAYOUTS)  # the table of the rows whose detail is held as recorded
-_WHOLE = _OTHER + 1  # the table of the rows held whole, as recorded
 
 
 class _Codes(dict):
@@ -137,11 +137,10 @@ class TraceRecorder:
     One byte per row names the table that holds it: a table per layout
     kind (``t``, the node and string fields as codes into one string
     table, the int fields) and one for any other detail (``t``, node and
-    kind codes, the detail as recorded). A row that fits no column is
-    held whole, so iteration gives back every row recorded, equal and of
-    the same types."""
+    kind codes, the detail as recorded). Iteration gives back every row
+    recorded, equal and of the same types."""
 
-    __slots__ = ("_order", "_layouts", "_stores", "_other", "_whole", "_strings")
+    __slots__ = ("_order", "_layouts", "_stores", "_other", "_strings")
 
     def __init__(self) -> None:
         self._order = array("B")  # per row, its table
@@ -153,23 +152,27 @@ class TraceRecorder:
         }
         # t, node code, kind code, the detail.
         self._other: tuple[array, array, array, list[Any]] = (array("q"), array("I"), array("I"), [])
-        self._whole: list[Row] = []
 
     def record(self, t: int, kind: str, node: str | None, detail: dict[str, Any] | tuple) -> None:
-        store = self._stores.get(kind) if type(detail) is tuple and type(kind) is str else None
-        table = None if store is None else store(t, node, detail)
+        """Append a row; raise TypeError, appending nothing, for a row the
+        JSONL writer would not write as its entry dict: a ``t`` not an int
+        in 64 bits, a kind not a str, a node neither str nor None, or a
+        tuple detail that does not fit its kind's layout."""
+        if type(detail) is tuple:
+            store = self._stores.get(kind) if type(kind) is str else None
+            table = None if store is None else store(t, node, detail)
+        elif type(t) is int and -_Q <= t < _Q and type(kind) is str and (node is None or type(node) is str):
+            table = _OTHER
+            strings = self._strings
+            ts, nodes, kinds, details = self._other
+            ts.append(t)
+            nodes.append(strings[node])
+            kinds.append(strings[kind])
+            details.append(detail)
+        else:
+            table = None
         if table is None:
-            if type(t) is int and -_Q <= t < _Q and type(kind) is str and (node is None or type(node) is str):
-                table = _OTHER
-                strings = self._strings
-                ts, nodes, kinds, details = self._other
-                ts.append(t)
-                nodes.append(strings[node])
-                kinds.append(strings[kind])
-                details.append(detail)
-            else:
-                table = _WHOLE
-                self._whole.append((t, kind, node, detail))
+            raise TypeError(f"cannot record the row {(t, kind, node, detail)!r}: the trace writer cannot write it")
         self._order.append(table)
 
     def __len__(self) -> int:
@@ -184,7 +187,7 @@ class TraceRecorder:
             for (kind, (_, width, n)), (ts, nodes, strs, ints) in zip(_LAYOUTS.items(), self._layouts)
         ]
         ts, nodes, kinds, details = self._other
-        tables += [zip(ts, map(string, kinds), map(string, nodes), details), iter(self._whole)]
+        tables.append(zip(ts, map(string, kinds), map(string, nodes), details))
         return map(next, map(tables.__getitem__, self._order))
 
     # send and deliver append through record(), so a wrapper on record()

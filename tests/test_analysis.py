@@ -293,6 +293,13 @@ def test_forecast_validation():
         ForecastSpec("s", "m", k=1, horizon=1, threshold=0.0, cmp="~")
 
 
+@pytest.mark.parametrize("interval", [0, -5])
+def test_analysis_params_reject_compare_interval_below_one(interval):
+    # A node's first compare timer is drawn from [0, compare_interval).
+    with pytest.raises(ValueError, match="compare_interval must be >= 1"):
+        AnalysisParams(compare_interval=interval)
+
+
 @given(
     st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
     st.data(),

@@ -200,6 +200,13 @@ def test_topology_validation():
         ClusterTopology(clusters={"c": ()}, parent={"c": None})
 
 
+@pytest.mark.parametrize("interval", [0, -5])
+def test_detector_params_reject_summary_interval_below_one(interval):
+    # A node's first summary timer is drawn from [0, summary_interval).
+    with pytest.raises(ValueError, match="summary_interval must be >= 1"):
+        DetectorParams(summary_interval=interval)
+
+
 def test_topology_accessors():
     topo = two_level_topology()
     assert topo.root == "top"

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from test_perfbench import load
 
 from depsim import scenario
+from depsim.cli import main
 from depsim.scenario import ScenarioError, load_scenario, parse_scenario
 from depsim.sim import Crash, Partition, Recover, SetLoss
 
@@ -567,6 +568,177 @@ def test_mutated_scenarios_raise_only_scenario_error(data):
             pass
 
 
+# --- the closed schema ----------------------------------------------------------------------
+
+# The two mappings whose keys are free-form strings.
+FREE_FORM = re.compile(r"repair\.policy|services\[\d+\]\.table")
+
+
+def table_mappings(doc):
+    """(path, mapping) of every mapping of a scenario document that is
+    read through a table, with its path as errors name it."""
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            if not FREE_FORM.fullmatch(path):
+                yield path, node
+            for key, child in node.items():
+                yield from walk(child, key if path == "scenario" else f"{path}.{key}")
+        elif isinstance(node, list):
+            for i, child in enumerate(node):
+                yield from walk(child, f"{path}[{i}]")
+
+    return list(walk(doc, "scenario"))
+
+
+_RULE = {"scope": "*", "subject": "u", "object": "o", "ops": ["read"], "effect": "allow"}
+_STEP = {"type": "threshold", "metric": "m", "cmp": ">", "bound": 1}
+_FEED = {"node": "a", "source": "s", "metric": "m"}
+
+# A document with a mapping of every table: every section, every kind of
+# list entry and every variant.
+EVERY_TABLE = {
+    "name": "every-table",
+    "until": 50,
+    "network": {"base_latency": 1},
+    "clusters": [{"id": "c0", "nodes": ["a", "b"]}, {"id": "c1", "nodes": ["c"], "parent": "c0"}],
+    "detector": {"gossip_interval": 5},
+    "analysis": {"lookback": 10},
+    "repair": {"retry_max": 3, "policy": {"ServiceCrash": "activate-alternative"}},
+    "ports": {name: {"latency": 2} for name in ("scheduler", "checkpoint_store", "index", "transfer")},
+    "services": [{"id": "s1", "class": "kv", "table": {"get": "v"}}, {"id": "s2", "class": "kv"}],
+    "containers": [{"id": "box", "strategy": "failover", "timeout": 5, "replicas": [{"host": "b", "service": "s1"}]}],
+    "alternatives": [{"container": "box", "host": "c", "service": "s2"}],
+    "jobs": [{"id": "j", "checkpoint": "ck"}],
+    "patterns": [
+        {"fault_class": "F", "predicate": _STEP},
+        {"fault_class": "F", "predicate": {"type": "trend", "metric": "m", "cmp": ">", "k": 3, "slope_bound": 1}},
+        {"fault_class": "F", "predicate": {"type": "sequence", "span": 9, "steps": [_STEP, _STEP]}},
+    ],
+    "forecasts": [{"source": "s", "metric": "m", "k": 2, "horizon": 5, "threshold": 1}],
+    "behaviors": [{"host": "b", "service": "s1", "kind": "slow", "start": 0, "stop": 9, "delay": 2}],
+    "security": {
+        "subjects": [{"id": "u", "vos": ["v"]}],
+        "objects": [{"id": "o", "owner": "u", "vo": "v"}],
+        "rules": [_RULE],
+    },
+    "workload": {
+        "invocations": [
+            {"client": "a", "container": "box", "request": "get", "at": 3},
+            {"client": "a", "container": "box", "request": "get", "start": 5, "period": 10},
+        ],
+        "accesses": [{"node": "a", "subject": "u", "object": "o", "op": "read", "at": 4}],
+        "policy_updates": [
+            {"node": "a", "at": 6, "action": "insert", "index": 0, "rule": _RULE},
+            {"node": "a", "at": 7, "action": "remove", "index": 0},
+        ],
+    },
+    "telemetry": [
+        {**_FEED, "at": 1, "value": 2},
+        {**_FEED, "start": 0, "stop": 9, "value": 2},
+        {**_FEED, "start": 0, "stop": 9, "from": 1, "to": 5},
+    ],
+    "faults": [
+        {"kind": "crash", "node": "b", "at": 10},
+        {"kind": "recover", "node": "b", "at": 20},
+        {"kind": "set_loss", "probability": 0.1, "at": 5},
+        {"kind": "partition", "a": ["a"], "b": ["b"], "start": 5, "stop": 9},
+    ],
+}
+EVERY_PATH = [path for path, _ in table_mappings(EVERY_TABLE)]
+
+
+def every_table():
+    """EVERY_TABLE with no mapping shared between two places."""
+    return json.loads(json.dumps(EVERY_TABLE))
+
+
+# The keys whose value picks the table of the other keys.
+SELECTORS = ("kind", "type", "action")
+
+
+def test_every_table_document_loads():
+    scn = parse_scenario(every_table())
+    assert len(scn.patterns) == 3 and len(scn.faults) == 4 and len(scn.policy_updates) == 2
+    assert "workload.policy_updates[1]" in EVERY_PATH and "patterns[2].predicate.steps[1]" in EVERY_PATH
+
+
+@pytest.mark.parametrize("index", range(len(EVERY_PATH)), ids=EVERY_PATH)
+def test_misspelled_key_exits_2_at_its_path(tmp_path, capsys, index):
+    data = every_table()
+    path, mapping = table_mappings(data)[index]
+    key = max((k for k in mapping if k not in SELECTORS), key=len)
+    typo = key[0] + key[2:]
+    assert typo not in mapping
+    mapping[typo] = mapping.pop(key)
+    file = tmp_path / "typo.yaml"
+    file.write_text(yaml.safe_dump(data))
+    assert main(["run", "--scenario", str(file), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"scenario error: {path}.{typo}: unknown key (known: ")
+
+
+def test_unknown_key_names_the_known_keys():
+    e = err(minimal(detector={"t_mni": 5}))
+    assert e.path == "detector.t_mni"
+    known = "fanout, gossip_interval, k, summary_interval, t_bootstrap, t_cleanup, t_max, t_min, window"
+    assert e.message == f"unknown key (known: {known})"
+    assert err(minimal(detecor={})).path == "scenario.detecor"
+    assert err(minimal(clusters=[{"id": "c0", "nodes": ["a"], "parnet": None}])).path == "clusters[0].parnet"
+    assert err(minimal(faults=[{"kind": "crash", "node": "a", "util": 5, "at": 1}])).path == "faults[0].util"
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"workload": {"invocations": [{"client": "a", "container": "box", "request": "q", "at": 1, "period": 5}]}},
+         "workload.invocations[0].period"),
+        ({"workload": {"policy_updates": [{"node": "a", "at": 1, "action": "remove", "index": 0, "rule": _RULE}]}},
+         "workload.policy_updates[0].rule"),
+        ({"telemetry": [{**_FEED, "at": 1, "value": 2, "every": 5}]}, "telemetry[0].every"),
+        ({"telemetry": [{**_FEED, "start": 0, "stop": 9, "from": 1, "to": 5, "value": 2}]}, "telemetry[0].value"),
+        ({"faults": [{"kind": "set_loss", "probability": 0.1, "at": 5, "node": "a"}]}, "faults[0].node"),
+        ({"patterns": [{"fault_class": "F", "predicate": {**_STEP, "k": 3}}]}, "patterns[0].predicate.k"),
+    ],
+)
+def test_key_of_another_variant_is_unknown(overrides, path):
+    base = minimal(services=[{"id": "s1"}], containers=[{**_CONTAINER, "id": "box"}])
+    assert err(dict(base, **overrides)).path == path
+
+
+@st.composite
+def with_unknown_key(draw):
+    """A bundled scenario document with one key no table names (an int, or
+    text starting with x, which no schema key does) in one of its
+    mappings; and the path the error must name."""
+    data = copy.deepcopy(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
+    path, mapping = draw(st.sampled_from(table_mappings(data)))
+    key = draw(st.one_of(st.integers(), st.text(max_size=6).map("x".__add__)))
+    mapping[key] = draw(ODD_VALUES)
+    return data, f"{path}.{key}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(with_unknown_key())
+def test_unknown_key_in_any_mapping_of_a_bundled_scenario(case):
+    data, path = case
+    e = err(data)
+    assert (e.path, e.message.split("(")[0]) == (path, "unknown key ")
+
+
+def test_readme_scenario_examples_load():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        parse_scenario(yaml.safe_load(block))
+
+
+def test_heal_mix_documents_load():
+    healmix = load("healmix")
+    for seed in range(50):
+        assert parse_scenario(healmix.generate(seed)).name == f"heal-mix-{seed}"
+
+
 # --- the YAML loader ---------------------------------------------------------------------------
 
 SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
@@ -659,7 +831,11 @@ def test_load_bounds_nesting(tmp_path, loader):
     # The top-level mapping is the first level.
     nested = "x: " + "[" * (limit - 1) + "]" * (limit - 1) + "\n"
     with mock.patch.object(scenario, "_LOADER", loader):
-        assert load_text(tmp_path, "until: 10\nclusters: [{id: c, nodes: [a]}]\n" + nested).until == 10
+        # At the limit the document passes the nesting check and is read,
+        # up to its unknown key.
+        with pytest.raises(ScenarioError, match=r"^scenario\.x: unknown key ") as exc:
+            load_text(tmp_path, "until: 10\nclusters: [{id: c, nodes: [a]}]\n" + nested)
+        assert exc.value.path == "scenario.x"
         for depth in (limit + 1, 100_000):
             deep = "{a: " * depth + "1" + "}" * depth
             with pytest.raises(ScenarioError, match=f"^file: line 1: nested deeper than {limit} levels$"):

@@ -179,6 +179,8 @@ def test_dumps_matches_encoding_of_plain_entry_dicts():
 _TRICKY = st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "\ud800", "\udfff", "😀"])
 _text = st.text(st.one_of(_TRICKY, st.characters(blacklist_categories=())), max_size=8)
 _big = st.one_of(st.integers(0, 50), st.integers(-(2**70), 2**70))
+# The ints the recorder takes as a t or an int field.
+_int64 = st.one_of(st.integers(0, 50), st.integers(-(2**63), 2**63 - 1))
 _json = st.recursive(
     st.none() | st.booleans() | _big | st.floats(allow_nan=False) | _text,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
@@ -188,9 +190,9 @@ _json = st.recursive(
 # The layouts of the tuple details, spelt out here as the entry dicts
 # the simulator recorded before the tuples replaced them.
 _LAYOUT = {
-    "send": (("dst", _text), ("msg", _text), ("msg_id", _big)),
-    "deliver": (("src", _text), ("msg", _text), ("msg_id", _big), ("sent_at", _big)),
-    "drop": (("reason", _text), ("src", _text), ("msg", _text), ("msg_id", _big)),
+    "send": (("dst", _text), ("msg", _text), ("msg_id", _int64)),
+    "deliver": (("src", _text), ("msg", _text), ("msg_id", _int64), ("sent_at", _int64)),
+    "drop": (("reason", _text), ("src", _text), ("msg", _text), ("msg_id", _int64)),
 }
 
 
@@ -201,7 +203,7 @@ def recorded_rows(draw):
     with the entry dict each row stands for, built from the drawn fields."""
     rec, expected = TraceRecorder(), []
     for seq in range(draw(st.integers(0, 12))):
-        t, form = draw(_big), draw(st.sampled_from(["send", "deliver", "drop", "mapping", "other"]))
+        t, form = draw(_int64), draw(st.sampled_from(["send", "deliver", "drop", "mapping", "other"]))
         if form in _LAYOUT:
             node = draw(_text)
             detail = {name: draw(values) for name, values in _LAYOUT[form]}
@@ -286,14 +288,35 @@ def test_read_rows_then_write_gives_the_file_back(tmp_path_factory, lines):
 # --- the columnar recorder against a list of row tuples ---------------------------------
 
 
+def _in_64_bits(v):
+    return type(v) is int and -(2**63) <= v < 2**63
+
+
+def writable(t, kind, node, detail):
+    """Whether the JSONL writer writes the row as its entry dict: ``t`` an
+    int in 64 bits, a str kind, a str or None node, and a tuple detail
+    only under a layout kind, with its length and, field by field, a str
+    or an int in 64 bits as the layout has it."""
+    if not (_in_64_bits(t) and type(kind) is str and (node is None or type(node) is str)):
+        return False
+    if type(detail) is not tuple:
+        return True
+    names = [name for name, _ in _LAYOUT.get(kind, ())]
+    return len(names) == len(detail) > 0 and all(
+        _in_64_bits(v) if name in ("msg_id", "sent_at") else type(v) is str for name, v in zip(names, detail)
+    )
+
+
 class RefRecorder:
     """The recorder as it was before it held columns: a list of the rows
-    as recorded."""
+    as recorded, of the rows the writer can write."""
 
     def __init__(self):
         self.rows = []
 
     def record(self, t, kind, node, detail):
+        if not writable(t, kind, node, detail):
+            raise TypeError("not a writable row")
         self.rows.append((t, kind, node, detail))
 
     def send(self, t, src, dst, msg, msg_id):
@@ -376,13 +399,16 @@ def assert_same_rows(got, want):
 def assert_same_trace(rec, ref):
     assert len(rec) == len(ref.rows)
     assert_same_rows(list(rec), ref.rows)
+    assert dumps_jsonl(rec) == dumps_jsonl(ref.rows)
+
+
+def refused(call, *args):
+    """Whether ``call(*args)`` raises TypeError."""
     try:
-        expected = dumps_jsonl(ref.rows)
-    except Exception as exc:
-        with pytest.raises(type(exc)):
-            dumps_jsonl(rec)
-    else:
-        assert dumps_jsonl(rec) == expected
+        call(*args)
+    except TypeError:
+        return True
+    return False
 
 
 @settings(max_examples=300, deadline=None)
@@ -391,14 +417,22 @@ def assert_same_trace(rec, ref):
 @example(ops=[("send", 1, "a", "b", "gossip", True), ("deliver", 2, "b", "a", "gossip", 7, 2**63)])
 @example(ops=[("drop", 1, "b", "loss", 5, "gossip", 7), ("record", 2**63, "x", "a", {}), ("record", 1, "x", 7, {})])
 @example(ops=[("record", 1, "send", "a", {"dst": "b"}), ("record", 1, "tick", "a", ("a", 1)), ("record", 1, 7, None, {})])
+# Rows the writer wrote wrong before the recorder refused them: a bool
+# msg_id as 1, a float one as 2, a float t as 1, and a tuple under a kind
+# with no layout ended in KeyError.
+@example(ops=[("record", 1, "send", "a", ("x", "m", True)), ("send", 2, "a", "b", "gossip", 7)])
+@example(ops=[("record", 1, "send", "a", ("x", "m", 2.7)), ("send", 2, "a", "b", "gossip", 7)])
+@example(ops=[("record", 1.5, "note", "a", {}), ("record", 2, "note", "a", {})])
+@example(ops=[("record", 1, "note", "a", ("x",)), ("record", 2, "note", "a", {})])
 def test_recorder_rows_equal_a_list_of_the_rows_recorded(ops):
+    """The recorder and the list take and refuse the same rows, and hold
+    the same rows after a refused one."""
     rec, ref = TraceRecorder(), RefRecorder()
     for op, *args in ops:
         if op == "look":
             assert_same_trace(rec, ref)
         else:
-            getattr(rec, op)(*args)
-            getattr(ref, op)(*args)
+            assert refused(getattr(rec, op), *args) == refused(getattr(ref, op), *args)
     assert_same_trace(rec, ref)
 
 
