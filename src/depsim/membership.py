@@ -253,7 +253,10 @@ class Detector:
         # start still gets detected.
         for p in self.peers:
             self.table[p] = HeartbeatEntry(0, -1, now, params)
+        # The digest rows in table order; merge and local_tick write each change.
+        self.wire: dict[str, tuple[int, int]] = {nid: (e.counter, e.incarnation) for nid, e in self.table.items()}
         self.view: dict[str, PeerView] = {p: PeerView() for p in self.peers}
+        self._by_id = sorted(topology.clusters[self.cluster])  # the cluster's members in id order
         # Peers in state REMOVED, kept by evaluate for the gossip draw.
         self.removed: set[str] = set()
         # evaluate finds no transition at any time <= quiet_until; -1
@@ -292,10 +295,11 @@ class Detector:
         own = self.table[self.owner]
         own.counter += 1
         own.last_bump = now
+        self.wire[self.owner] = (own.counter, own.incarnation)
         targets = self._draw_peers()
         if not targets:
             return []
-        digest = GossipDigest({nid: (e.counter, e.incarnation) for nid, e in self.table.items()})
+        digest = GossipDigest(self.wire.copy())
         return [(t, digest) for t in targets]
 
     def merge(self, digest: GossipDigest, now: SimTime) -> None:
@@ -307,19 +311,25 @@ class Detector:
         counter. The owner's own row is never writable from outside.
         """
         table = self.table
+        wire = self.wire
         owner = self.owner
-        for nid, (counter, incarnation) in digest.entries.items():
+        for nid, row in digest.entries.items():
+            counter, incarnation = row
             entry = table.get(nid)
             if entry is None:  # never the owner: its own row always exists
                 table[nid] = HeartbeatEntry(counter, incarnation, now, self.params)
             elif incarnation == entry.incarnation:
-                if counter > entry.counter and nid != owner:
-                    entry.counter = counter
-                    entry.gaps.append(now - entry.last_bump)
-                    entry.timeout = None
-                    entry.last_bump = now
+                if counter <= entry.counter or nid == owner:
+                    continue
+                entry.counter = counter
+                entry.gaps.append(now - entry.last_bump)
+                entry.timeout = None
+                entry.last_bump = now
             elif incarnation > entry.incarnation and nid != owner:
                 entry.reset(counter, incarnation, now)
+            else:
+                continue
+            wire[nid] = row
 
     # -- suspicion
 
@@ -385,12 +395,10 @@ class Detector:
         return out
 
     def alive_members(self) -> list[str]:
-        members = self.topology.clusters[self.cluster]
-        return [m for m in members if m == self.owner or self.view[m].state is PeerState.ALIVE]
+        return [m for m in self._by_id if m == self.owner or self.view[m].state is PeerState.ALIVE]
 
     def suspected_members(self) -> list[str]:
-        members = self.topology.clusters[self.cluster]
-        return [m for m in members if m != self.owner and self.view[m].state is not PeerState.ALIVE]
+        return [m for m in self._by_id if m != self.owner and self.view[m].state is not PeerState.ALIVE]
 
     # -- hierarchy
 
@@ -400,8 +408,9 @@ class Detector:
         from our view (we are always alive in it); for a remote cluster
         it comes from that cluster's freshest summary we hold, and
         without one that names a live member every member counts."""
-        if cluster == self.cluster:
-            return min(self.alive_members())
+        if cluster == self.cluster:  # the first of alive_members(), found without building it
+            view, owner = self.view, self.owner
+            return next(m for m in self._by_id if m == owner or view[m].state is PeerState.ALIVE)
         summary = self.latest.get(cluster)
         if summary is not None and summary.alive:
             return min(summary.alive)
@@ -430,13 +439,12 @@ class Detector:
         """
         if self.representative(self.cluster) != self.owner:
             return None, []
-        alive = self.alive_members()
         summary = ClusterSummary(
             cluster=self.cluster,
             epoch=now,
             rep=self.owner,
-            alive=tuple(sorted(alive)),
-            suspected=tuple(sorted(self.suspected_members())),
+            alive=tuple(self.alive_members()),
+            suspected=tuple(self.suspected_members()),
         )
         self.latest[self.cluster] = summary
         batch = SummaryBatch(tuple(self.latest[c] for c in sorted(self.latest)))

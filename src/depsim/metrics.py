@@ -51,6 +51,8 @@ def compute_metrics(rows: Iterable[Row], scenario: Scenario | None = None, warmu
     t = 0
     for t, kind, node, detail in rows:
         counts[kind] = counts.get(kind, 0) + 1
+        if kind == "send" or kind == "deliver":  # most rows; only counted
+            continue
         if kind == "drop":
             reason = detail_field(kind, detail, "reason")
             reason = reason if isinstance(reason, str) else "?"  # missing or not a string

@@ -4,9 +4,10 @@ The builder instantiates one :class:`NodeRuntime` per node, attaches it
 to the simulator, schedules every scripted workload event and fault,
 and exposes ``run_until``/``run``. Workload events fire through the
 simulator's directive channel, so they obey the same deterministic
-(fire_at, seq) ordering as everything else; events addressed to a node
-that happens to be crashed at fire time are dropped on the floor, which
-is what a real driver talking to a dead host would experience.
+order as everything else (a tick's events run in the order they were
+scheduled); events addressed to a node that happens to be crashed at
+fire time are dropped on the floor, as a real driver talking to a dead
+host would see.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Deterministic discrete-event simulation harness.
 
-The harness owns a logical integer clock, an event queue ordered by
-(fire_at, seq), a latency/loss/partition network model and one liveness
-handle per node. Protocol code runs inside node handlers that the
-harness invokes; handlers emit new work exclusively through the harness
-(:meth:`Simulator.send`, :meth:`Simulator.set_timer`), which keeps the
-whole run reproducible: for a fixed scenario and master seed, two runs
-produce byte-identical traces.
+The harness owns a logical integer clock, an event queue in which a
+tick's events run in the order they were scheduled, a latency/loss/
+partition network model and one liveness handle per node. Protocol code
+runs inside node handlers that the harness invokes; handlers emit new
+work exclusively through the harness (:meth:`Simulator.send`,
+:meth:`Simulator.set_timer`), which keeps the whole run reproducible:
+for a fixed scenario and master seed, two runs produce byte-identical
+traces.
 
 Randomness is never drawn from a shared stream. Every (node, purpose)
 pair gets its own ``random.Random`` seeded by stable hashing, so adding
@@ -19,6 +20,7 @@ import hashlib
 import heapq
 import logging
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -126,7 +128,7 @@ class NodeHandle:
     ``up`` is False from a crash until the next recovery. ``epoch``
     increments on every crash and recovery; timers carry the epoch they
     were armed under and fire only if it still matches, which is how a
-    crash cancels pending timers without touching the heap.
+    crash cancels pending timers without touching the queue.
     """
 
     __slots__ = ("up", "epoch")
@@ -172,8 +174,8 @@ class Simulator:
             if nid in self.nodes:
                 raise ValueError(f"duplicate node id {nid!r}")
             self.nodes[nid] = NodeHandle()
-        self._heap: list[tuple[int, int, int, Any]] = []
-        self._next_seq = 0
+        self._buckets: dict[SimTime, deque[tuple[int, Any]]] = {}  # tick -> FIFO of (kind, payload)
+        self._ticks: list[SimTime] = []  # heap of the ticks in _buckets
         self._msg_seq = 0
         self._message_handlers: dict[str, Callable[..., None]] = {}
         self._timer_handlers: dict[str, Callable[..., None]] = {}
@@ -202,9 +204,10 @@ class Simulator:
     def schedule(self, fire_at: SimTime, kind: int, payload: Any) -> None:
         if fire_at < self.now:
             raise SchedulingInPast(f"fire_at {fire_at} < now {self.now}")
-        seq = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._heap, (fire_at, seq, kind, payload))
+        if fire_at not in self._buckets:
+            self._buckets[fire_at] = deque()
+            heapq.heappush(self._ticks, fire_at)
+        self._buckets[fire_at].append((kind, payload))
 
     def set_timer(self, node: str, delay: int, timer_kind: str, data: Any = None) -> None:
         handle = self._require_node(node)
@@ -238,10 +241,7 @@ class Simulator:
             if network.jitter:
                 delay += net.randrange(network.jitter + 1)
         self.trace.send(now, src, dst, kind, msg_id)
-        # base_latency >= 1, so the delivery is never in the past.
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        heapq.heappush(self._heap, (now + delay, seq, _DELIVER, (src, dst, msg, msg_id, now)))
+        self.schedule(now + delay, _DELIVER, (src, dst, msg, kind, msg_id, now))
 
     def inject_fault(self, directive: Crash | Recover | SetLoss | Partition) -> None:
         if isinstance(directive, Partition):
@@ -262,21 +262,24 @@ class Simulator:
     def run_until(self, t: SimTime) -> None:
         if t < self.now:
             raise SchedulingInPast(f"run_until({t}) but now is {self.now}")
-        heap = self._heap
-        while heap and heap[0][0] <= t:
-            fire_at, _seq, kind, payload = heapq.heappop(heap)
-            self.now = fire_at
-            if kind == _DELIVER:
-                self._process_delivery(payload)
-            elif kind == _TIMER:
-                self._process_timer(payload)
-            else:
-                self._process_directive(payload)
+        ticks, buckets = self._ticks, self._buckets
+        while ticks and ticks[0] <= t:
+            tick = self.now = ticks[0]
+            bucket = buckets[tick]
+            # Same-tick events join the end; an escaping exception leaves the rest queued.
+            while bucket:
+                kind, payload = bucket.popleft()
+                if kind == _DELIVER:
+                    self._process_delivery(payload)
+                elif kind == _TIMER:
+                    self._process_timer(payload)
+                else:
+                    self._process_directive(payload)
+            del buckets[heapq.heappop(ticks)]
         self.now = t
 
     def _process_delivery(self, payload: tuple) -> None:
-        src, dst, msg, msg_id, sent_at = payload
-        kind = getattr(msg, "kind", type(msg).__name__)
+        src, dst, msg, kind, msg_id, sent_at = payload
         handle = self.nodes[dst]
         if not handle.up:
             self.trace.drop(self.now, dst, "target_crashed", src, kind, msg_id)

@@ -124,9 +124,11 @@ def test_merge_higher_incarnation_accepts_lower_counter():
 def test_merge_ignores_own_row():
     det = fresh_detector()
     det.local_tick(5)
-    det.merge(GossipDigest({"me": (99, 9)}), now=5)
+    det.merge(GossipDigest({"me": (99, 9)}), now=5)  # a restart
+    det.merge(GossipDigest({"me": (99, 0)}), now=6)  # a counter advance
     own = det.table["me"]
     assert (own.counter, own.incarnation) == (1, 0)
+    assert det.local_tick(7)[0][1].entries["me"] == (2, 0)
 
 
 def test_merge_inserts_unknown_node_without_gap():
@@ -498,3 +500,53 @@ def test_remote_rep_follows_latest_summary():
     # a summary with no live member says nothing about who represents the cluster
     det.apply_summaries(SummaryBatch((ClusterSummary("leaf", 60, "b1", (), ("b0", "b1")),)))
     assert det.representative("leaf") == "b0"
+
+
+# --- kept digest and short-circuit representative -------------------------------
+
+MEMBERS = ("p3", "me", "p1", "a2", "p0")  # declared out of id order
+OUTSIDERS = ("x1", "x2")  # rows a digest may bring that the cluster does not declare
+digest_rows = st.tuples(st.integers(0, 12), st.integers(-1, 3))
+detector_ops = st.lists(
+    st.tuples(st.integers(0, 5), st.just("merge"), st.dictionaries(st.sampled_from(MEMBERS + OUTSIDERS), digest_rows))
+    | st.tuples(st.integers(0, 5), st.just("tick"), st.none())
+    | st.tuples(st.integers(0, 5), st.just("evaluate"), st.none())
+    | st.tuples(st.integers(0, 5), st.just("view"), st.tuples(st.sampled_from(MEMBERS), st.sampled_from(PeerState))),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(owner=st.sampled_from(MEMBERS), ops=detector_ops)
+def test_kept_digest_and_representative_match_their_definitions(owner, ops):
+    """The digest kept row by row equals one built from the whole table,
+    in table order, and the representative of the own cluster is the
+    lowest id among alive_members(), through merges (new rows, counter
+    advances, restarts, the owner's own row), evaluations and direct
+    edits of the view."""
+    params = DetectorParams(gossip_interval=1, t_min=2, t_bootstrap=4, t_cleanup=3)
+    det = Detector(owner, ClusterTopology(clusters={"c": MEMBERS}, parent={"c": None}), params, rng=random.Random(0))
+    now, ticks, sent = 0, 0, []
+    for dt, op, arg in ops:
+        now += dt
+        if op == "merge":
+            det.merge(GossipDigest(arg), now)
+        elif op == "evaluate":
+            det.evaluate(now)
+        elif op == "view":
+            peer, state = arg
+            if peer != owner:
+                det.view[peer].state = state
+        else:
+            sends = det.local_tick(now)
+            ticks += 1
+            want = [(nid, (e.counter, e.incarnation)) for nid, e in det.table.items()]
+            for _, digest in sends:
+                assert list(digest.entries.items()) == want
+            if sends:
+                sent.append((sends[0][1], want))
+        assert det.representative("c") == min(det.alive_members())
+        own = det.table[owner]
+        assert (own.counter, own.incarnation) == (ticks, 0)  # no digest writes the owner's row
+    for digest, want in sent:  # a digest sent earlier is a snapshot, not a view of the table
+        assert list(digest.entries.items()) == want

@@ -372,12 +372,14 @@ def ref_compute_metrics(entries, scenario=None, warmup=None):
 
 
 MEMBERSHIP_KINDS = ("crash", "recover", "suspect", "refute", "remove", "global_view")
+# Message rows, which compute_metrics only counts, mixed in between.
+MESSAGE_KINDS = ("send", "deliver", "drop")
 
 
 @st.composite
 def membership_traces(draw):
     """Crash, recover and membership entries over three to five nodes,
-    several per tick. A node may crash again with no recover between,
+    several per tick, among send, deliver and drop rows. A node may crash again with no recover between,
     and a recover may come with no crash open. Left out is the one trace
     shape on which the reference's two crash models disagree with each
     other: a recover that finds the node's newest crash already closed
@@ -385,11 +387,23 @@ def membership_traces(draw):
     crash of a crashed node)."""
     nodes = [f"n{i}" for i in range(draw(st.integers(3, 5)))]
     steps = st.tuples(
-        st.integers(0, 3), st.sampled_from(MEMBERSHIP_KINDS), st.sampled_from(nodes), st.sampled_from(nodes), st.booleans()
+        st.integers(0, 3),
+        st.sampled_from(MEMBERSHIP_KINDS + MESSAGE_KINDS),
+        st.sampled_from(nodes),
+        st.sampled_from(nodes),
+        st.booleans(),
     )
     t, trace, open_crashes = 0, [], {n: [] for n in nodes}
-    for dt, kind_, node, peer, flag in draw(st.lists(steps, max_size=40)):
+    for msg_id, (dt, kind_, node, peer, flag) in enumerate(draw(st.lists(steps, max_size=40))):
         t += dt
+        if kind_ in MESSAGE_KINDS:
+            detail = {
+                "send": (peer, "gossip", msg_id),
+                "deliver": (peer, "gossip", msg_id, max(t - 1, 0)),
+                "drop": ("loss" if flag else "partition", peer, "gossip", msg_id),
+            }[kind_]
+            trace.append((t, kind_, node, detail))
+            continue
         opened = open_crashes[node]
         if kind_ == "crash":
             opened.append(True)

@@ -2,10 +2,16 @@
 semantics. Everything here must hold for the component stack above to
 be trustworthy."""
 
+import heapq
+
 import pytest
 from conftest import entries
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depsim.sim import (
+    _DELIVER,
+    _TIMER,
     Crash,
     NetworkModel,
     Partition,
@@ -244,3 +250,125 @@ def test_run_until_is_composable():
         return entries(sim.trace)
 
     assert drive([100]) == drive([7, 8, 30, 99, 100])
+
+
+class Halt(BaseException):
+    """Stands for an interrupt: not an Exception, so no handler catches it."""
+
+
+def test_escaping_exception_leaves_the_rest_of_the_tick_queued():
+    sim = make_sim(nodes=("a",))
+    got = []
+
+    def on_timer(s, n, kind, data):
+        got.append((s.now, kind))
+        if kind == "second" and got.count((s.now, kind)) == 1:
+            s.set_timer(n, 0, "same-tick")
+            raise Halt
+
+    sim.attach("a", on_message=lambda *a: None, on_timer=on_timer)
+    for kind in ("first", "second", "third", "fourth"):
+        sim.set_timer("a", 5, kind)
+    sim.set_timer("a", 6, "later")
+    with pytest.raises(Halt):
+        sim.run_until(10)
+    assert sim.now == 5
+    assert got == [(5, "first"), (5, "second")]
+    sim.run_until(10)  # the tick resumes where it stopped; nothing runs twice
+    assert got == [(5, "first"), (5, "second"), (5, "third"), (5, "fourth"), (5, "same-tick"), (6, "later")]
+
+
+# --- differential against a (fire_at, seq) heap ------------------------------
+
+
+class HeapSimulator(Simulator):
+    """Reference queue: one heap of (fire_at, seq, kind, payload), popped
+    in order. Everything else is the Simulator's own."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._heap = []
+        self._seq = 0
+
+    def schedule(self, fire_at, kind, payload):
+        if fire_at < self.now:
+            raise SchedulingInPast(f"fire_at {fire_at} < now {self.now}")
+        heapq.heappush(self._heap, (fire_at, self._seq, kind, payload))
+        self._seq += 1
+
+    def run_until(self, t):
+        if t < self.now:
+            raise SchedulingInPast(f"run_until({t}) but now is {self.now}")
+        while self._heap and self._heap[0][0] <= t:
+            fire_at, _, kind, payload = heapq.heappop(self._heap)
+            self.now = fire_at
+            if kind == _DELIVER:
+                self._process_delivery(payload)
+            elif kind == _TIMER:
+                self._process_timer(payload)
+            else:
+                self._process_directive(payload)
+        self.now = t
+
+
+NODES = ("a", "b", "c")
+# What an event with a given label does when it runs: set a timer
+# (delay 0 included) or send a message, each naming the label the new
+# event carries. Labels only point forward, so every script ends.
+actions = st.lists(
+    st.tuples(st.sampled_from(["timer", "send"]), st.sampled_from(NODES), st.integers(0, 3), st.integers(1, 8)),
+    max_size=3,
+)
+
+
+@st.composite
+def scripts(draw):
+    table = [draw(actions) for _ in range(8)]
+    starts = draw(st.lists(st.tuples(st.sampled_from(NODES), st.integers(0, 6), st.integers(0, 7)), min_size=1, max_size=8))
+    faults = []
+    for node, at, down in draw(st.lists(st.tuples(st.sampled_from(NODES), st.integers(0, 20), st.integers(0, 6)), max_size=3)):
+        faults += [Crash(node, at), Recover(node, at + down)]
+    if draw(st.booleans()):
+        faults.append(SetLoss(draw(st.sampled_from([0.0, 0.5])), draw(st.integers(0, 20))))
+    net = {"base_latency": draw(st.integers(1, 3)), "jitter": draw(st.integers(0, 2)), "loss_probability": draw(st.sampled_from([0.0, 0.3]))}
+    stops = sorted(draw(st.lists(st.integers(0, 40), max_size=4))) + [40]
+    return table, starts, faults, net, stops
+
+
+def replay(cls, script):
+    """Run a script on a simulator of class ``cls``; return what ran, in
+    order, and the trace entries."""
+    table, starts, faults, net, stops = script
+    log = []
+
+    def act(s, node, label):
+        log.append((s.now, node, label))
+        for what, other, delay, step in table[label]:
+            nxt = min(label + step, len(table) - 1)
+            if nxt == label:
+                continue
+            if what == "timer":
+                s.set_timer(node, delay, "t", nxt)
+            else:
+                s.send(node, other, nxt)
+
+    def on_recover(s, directive):
+        log.append((s.now, directive.node, "recovered"))
+        s.set_timer(directive.node, 0, "t", 0)  # a delay-0 timer from the directive handler
+
+    sim = cls(list(NODES), NetworkModel(**net), seed=5, directive_handler=on_recover)
+    for node in NODES:
+        sim.attach(node, on_message=lambda s, n, src, msg: act(s, n, msg), on_timer=lambda s, n, kind, data: act(s, n, data))
+    for node, delay, label in starts:
+        sim.set_timer(node, delay, "t", label)
+    for fault in faults:
+        sim.inject_fault(fault)
+    for t in stops:
+        sim.run_until(t)
+    return log, entries(sim.trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scripts())
+def test_tick_buckets_run_events_in_heap_order(script):
+    assert replay(Simulator, script) == replay(HeapSimulator, script)
